@@ -10,6 +10,9 @@ from dataclasses import dataclass, field
 from .core import CONSTANTS, ExperimentConfig, RegimeError
 from . import decoherence
 
+# relative margin above contact (2*radius) where the separation range starts
+_CONTACT_MARGIN = 1.0 + 1e-12
+
 
 @dataclass(frozen=True)
 class ConstraintReport:
@@ -56,32 +59,21 @@ def cp_ratio(config: ExperimentConfig, r: float | None = None) -> float:
 
 
 def min_separation(config: ExperimentConfig, targetRatio: float) -> float:
-    """Smallest allowed separation: the unique root of cpRatio(r) = target.
+    """Smallest allowed separation: the root of cpRatio(r) = target.
 
-    cpRatio falls off as r^-6, so the root is unique; bisection on
-    [2*radius, 1 m] run to floating-point convergence (well below the 1e-9 m
-    tolerance).
+    cpRatio(r) = C / r^6 exactly, so from the ratio at closest approach r
+    the root is r* = r (cpRatio(r) / target)^(1/6).  Raises ValueError when
+    r* lies outside [2*radius (1 + 1e-12), 1 m].
     """
     if not targetRatio > 0:
         raise ValueError(f"targetRatio must be positive, got {targetRatio!r}")
-    lo = 2.0 * config.radius * (1.0 + 1e-12)
-    hi = 1.0
-    f = lambda r: cp_ratio(config, r) - targetRatio
-    flo, fhi = f(lo), f(hi)
-    if flo < 0 or fhi > 0:
-        raise ValueError(
-            f"no root in [{lo:g}, {hi:g}] m: cpRatio spans "
-            f"[{fhi + targetRatio:g}, {flo + targetRatio:g}]"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    r = config.d - config.dx
+    root = r * (cp_ratio(config, r) / targetRatio) ** (1.0 / 6.0)
+    lo = 2.0 * config.radius * _CONTACT_MARGIN
+    if not lo <= root <= 1.0:
+        raise ValueError(f"no root in [{lo:g}, 1] m: cpRatio reaches "
+                         f"{targetRatio:g} at {root:g} m")
+    return root
 
 
 def magnetic_interaction_ratio(config: ExperimentConfig, bResidual: float) -> float:
@@ -110,15 +102,14 @@ def feasibility_report(config: ExperimentConfig, targetRatio: float = 0.1,
     vg = gravitational_potential(config, r)
     ratio = vcp / vg
     mag = magnetic_interaction_ratio(config, bResidual)
-    try:
-        min_sep = min_separation(config, targetRatio)
-    except ValueError:
-        # no bracket: the ratio is on one side of the target everywhere in
-        # [contact, 1 m]
-        if cp_ratio(config, 2.0 * config.radius * (1.0 + 1e-12)) < targetRatio:
-            min_sep = 2.0 * config.radius
-        else:
-            min_sep = math.inf
+    # the root of min_separation; outside [contact, 1 m] the ratio is on one
+    # side of the target everywhere: below it down to contact, or above it
+    # out to a metre
+    root = r * (ratio / targetRatio) ** (1.0 / 6.0) if targetRatio > 0 else math.inf
+    if root < 2.0 * config.radius * _CONTACT_MARGIN:
+        min_sep = 2.0 * config.radius
+    else:
+        min_sep = root if root <= 1.0 else math.inf
     reasons = []
     if ratio > targetRatio:
         reasons.append(f"cpRatio {ratio:.3g} > {targetRatio:g}")

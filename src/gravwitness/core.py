@@ -101,8 +101,14 @@ def paper_defaults() -> ExperimentConfig:
     )
 
 
+def _finite_number(value) -> bool:
+    # bool is an int subclass, but True and False are not quantities
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _positive(name, value, problems):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    if not _finite_number(value):
         problems.append(f"{name} must be a finite number, got {value!r}")
     elif value <= 0:
         problems.append(f"{name} must be > 0, got {value!r}")
@@ -125,12 +131,12 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
 
     for name in ("tInt", "chiM", "epsRel"):
         v = getattr(config, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+        if not _finite_number(v):
             problems.append(f"{name} must be a finite number, got {v!r}")
-    if isinstance(config.epsRel, (int, float)) and math.isfinite(config.epsRel):
+    if _finite_number(config.epsRel):
         if config.epsRel <= 1:
             problems.append(f"epsRel must be > 1, got {config.epsRel!r}")
-    if isinstance(config.tInt, (int, float)) and math.isfinite(config.tInt):
+    if _finite_number(config.tInt):
         if config.tInt < 0:
             problems.append(f"tInt must be >= 0, got {config.tInt!r}")
 
@@ -151,7 +157,7 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
             )
         dx = dx_kinematic
     else:
-        if not (isinstance(dx, (int, float)) and math.isfinite(dx)):
+        if not _finite_number(dx):
             raise ConfigError(f"dx must be a finite number or None, got {dx!r}")
         if abs(dx - dx_kinematic) > 0.01 * dx_kinematic:
             warnings.warn(

@@ -12,12 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+_PAULI_PRODUCTS = {(a, b): np.kron(pa, pb)
+                   for a, pa in PAULIS.items() for b, pb in PAULIS.items()}
 
-PAULIS = {"I": _I2, "X": _SX, "Y": _SY, "Z": _SZ}
+# entries (i, j) of rho where qubit 1's (qubit 2's) index differs between
+# the row and the column basis state
+_INDEX = np.arange(4)
+_QUBIT1_DIFFERS = _INDEX[:, None] // 2 != _INDEX // 2
+_QUBIT2_DIFFERS = _INDEX[:, None] % 2 != _INDEX % 2
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -89,12 +97,11 @@ def expectation(state: TwoQubitState, pauli1: str, pauli2: str) -> float:
     """Tr(rho (P1 x P2)) for P in {I, X, Y, Z}; the O(1e-16) imaginary
     residue of the trace is discarded."""
     try:
-        p1 = PAULIS[pauli1.upper()]
-        p2 = PAULIS[pauli2.upper()]
+        product = _PAULI_PRODUCTS[pauli1.upper(), pauli2.upper()]
     except (KeyError, AttributeError):
         raise ValueError(f"invalid Pauli index pair ({pauli1!r}, {pauli2!r}); "
                          "expected I, X, Y or Z") from None
-    return float(np.real(np.trace(state.rho @ np.kron(p1, p2))))
+    return float(np.real(np.trace(state.rho @ product)))
 
 
 def negativity(state: TwoQubitState) -> float:
@@ -108,23 +115,25 @@ def negativity(state: TwoQubitState) -> float:
     return float(-evals[evals < 0].sum()) + 0.0
 
 
-def _rotated(state: TwoQubitState, settings: WitnessSettings) -> TwoQubitState:
-    rz1 = np.diag([np.exp(-0.5j * settings.thetaZ1), np.exp(0.5j * settings.thetaZ1)])
-    rz2 = np.diag([np.exp(-0.5j * settings.thetaZ2), np.exp(0.5j * settings.thetaZ2)])
-    u = np.kron(rz1, rz2)
-    return TwoQubitState(u @ state.rho @ u.conj().T)
-
-
 def witness(state: TwoQubitState, settings: WitnessSettings | None = None) -> WitnessResult:
     """Evaluate W = |<sx x sz> - <sy x sz>| after the local z-rotations.
 
-    W > 1 certifies entanglement; the negativity of the unrotated state is
-    reported alongside as the exact criterion.
+    The rotated correlators follow in closed form from the unrotated ones;
+    thetaZ2 has no effect.  W > 1 certifies entanglement; the negativity of
+    the unrotated state is reported alongside as the exact criterion.
     """
     settings = WitnessSettings() if settings is None else settings
-    rotated = _rotated(state, settings)
-    exz = expectation(rotated, "X", "Z")
-    eyz = expectation(rotated, "Y", "Z")
+    return _witness(state, settings.thetaZ1,
+                    expectation(state, "X", "Z"), expectation(state, "Y", "Z"))
+
+
+def _witness(state: TwoQubitState, theta1: float, cxz: float,
+             cyz: float) -> WitnessResult:
+    # Conjugating sigma_x by Rz(t) gives cos(t) sx - sin(t) sy, and sigma_y
+    # gives cos(t) sy + sin(t) sx; sigma_z on qubit 2 commutes with Rz(thetaZ2).
+    c, s = math.cos(theta1), math.sin(theta1)
+    exz = c * cxz - s * cyz
+    eyz = c * cyz + s * cxz
     neg = negativity(state)
     return WitnessResult(
         w=abs(exz - eyz),
@@ -135,62 +144,29 @@ def witness(state: TwoQubitState, settings: WitnessSettings | None = None) -> Wi
     )
 
 
-def _witness_on_theta_grid(cxz: float, cyz: float, theta1: np.ndarray) -> np.ndarray:
-    # Conjugating sigma_x by Rz(t) gives cos(t) sx - sin(t) sy, and sigma_y
-    # gives cos(t) sy + sin(t) sx, while sigma_z on qubit 2 is unchanged, so
-    # W(t1, t2) = |cos(t1)(cxz - cyz) - sin(t1)(cxz + cyz)| for every t2.
-    return np.abs(np.cos(theta1) * (cxz - cyz) - np.sin(theta1) * (cxz + cyz))
-
-
 def optimize_witness(state: TwoQubitState) -> tuple[WitnessSettings, WitnessResult]:
-    """Maximize W over the local z-rotation angles.
+    """Maximize W over the local z-rotation angles, in closed form.
 
-    Dense 721x721 grid over [-pi, pi]^2 (the theta2 axis is exactly
-    degenerate, see `_witness_on_theta_grid`) followed by golden-section
-    refinement of theta1 inside the best grid cell.  Deterministic; the
-    returned W is >= the default-settings W.
+    With A = <XZ> - <YZ> and B = <XZ> + <YZ>, W(theta1) =
+    |A cos(theta1) - B sin(theta1)|, whose maximum sqrt(A^2 + B^2) sits at
+    theta1 = atan2(-B, A).  theta2 is degenerate and returned as 0.  The
+    returned W is >= the W of any angles, up to rounding.
     """
     cxz = expectation(state, "X", "Z")
     cyz = expectation(state, "Y", "Z")
-    theta = np.linspace(-np.pi, np.pi, 721)
-    grid = np.broadcast_to(_witness_on_theta_grid(cxz, cyz, theta)[:, None], (721, 721))
-    flat = int(np.argmax(grid))
-    i1, i2 = divmod(flat, 721)
-
-    lo = theta[max(i1 - 1, 0)]
-    hi = theta[min(i1 + 1, 720)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f = lambda t: float(_witness_on_theta_grid(cxz, cyz, np.asarray(t)))
-    f1, f2 = f(x1), f(x2)
-    for _ in range(80):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    best_theta1 = x1 if f1 >= f2 else x2
-    candidates = [(f(theta[i1]), theta[i1]), (f(best_theta1), best_theta1)]
-    w_best, theta1_best = max(candidates, key=lambda p: p[0])
-
-    settings = WitnessSettings(thetaZ1=float(theta1_best), thetaZ2=float(theta[i2]))
-    return settings, witness(state, settings)
+    # + 0.0 turns the -0.0 of atan2(-0.0, 0.0) into 0.0 for W = 0 states
+    settings = WitnessSettings(thetaZ1=math.atan2(-(cxz + cyz), cxz - cyz) + 0.0)
+    return settings, _witness(state, settings.thetaZ1, cxz, cyz)
 
 
 def apply_dephasing(state: TwoQubitState, p1: float, p2: float) -> TwoQubitState:
     """Independent phase-flip channels: per qubit j, Kraus operators
-    {sqrt(1-p_j) I, sqrt(p_j) sigma_z}.  Single-qubit coherences scale by
-    (1 - 2 p_j); trace is preserved and negativity never increases."""
+    {sqrt(1-p_j) I, sqrt(p_j) sigma_z}.  Applied elementwise: entries of rho
+    whose qubit-j index differs between row and column scale by (1 - 2 p_j),
+    populations are untouched, and negativity never increases."""
     for name, p in (("p1", p1), ("p2", p2)):
         if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-    z1 = np.kron(_SZ, _I2)
-    z2 = np.kron(_I2, _SZ)
-    rho = (1 - p1) * state.rho + p1 * (z1 @ state.rho @ z1)
-    rho = (1 - p2) * rho + p2 * (z2 @ rho @ z2)
-    return TwoQubitState(rho)
+    mask = (np.where(_QUBIT1_DIFFERS, 1.0 - 2.0 * p1, 1.0)
+            * np.where(_QUBIT2_DIFFERS, 1.0 - 2.0 * p2, 1.0))
+    return TwoQubitState(state.rho * mask)

@@ -176,7 +176,11 @@ def _worker_count(workers: int | None) -> int:
         workers = min(8, os.cpu_count() or 1)
     cap = os.environ.get("GRAVWITNESS_THREADS")
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError(f"GRAVWITNESS_THREADS must be an integer, "
+                              f"got {cap!r}") from None
     return max(1, workers)
 
 

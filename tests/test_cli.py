@@ -206,3 +206,12 @@ def test_conflicting_config_sources(tmp_path, capsys):
                            "--paper-defaults")
     assert code == 2
     assert "mutually exclusive" in err
+
+
+def test_sweep_malformed_thread_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GRAVWITNESS_THREADS", "abc")
+    code, out, err = run_cli(capsys, "sweep", "--paper-defaults",
+                             "--axis", "tau:0.5:2.5:3")
+    assert code == 2
+    assert out == ""
+    assert "GRAVWITNESS_THREADS" in err

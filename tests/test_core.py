@@ -167,3 +167,10 @@ def test_load_config_rejects_non_object(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ConfigError, match="flat object"):
         load_config(path)
+
+
+@pytest.mark.parametrize("name", ["tau", "m1", "tInt", "chiM", "epsRel", "dx"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_validate_rejects_bools(name, flag):
+    with pytest.raises(ConfigError, match=name):
+        validate(dataclasses.replace(paper_defaults(), **{name: flag}))

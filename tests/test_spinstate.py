@@ -22,12 +22,15 @@ def closed_form_dephased_negativity(a, b, p1, p2):
     # partial-transpose eigenvalues of the dephased state are
     # (1 + e*c1*c2 +- sqrt(c1^2 + c2^2 + 2 e c1 c2 cos s))/4 for e = +-1,
     # with c = 1 - 2p and s = a + b (symbolic eigen-decomposition, checked
-    # against the numerical solve below)
+    # against the numerical solve below).  The radicand is evaluated as
+    # (c1 + e c2)^2 - 4 e c1 c2 sin^2(s/2): written with cos s it cancels to
+    # 0 once cos s rounds to 1 (|s| < ~1e-8) and loses the negativity
+    # |sin(s/2)|/2 that the numerical solve keeps.
     c1, c2 = 1 - 2 * p1, 1 - 2 * p2
-    s = a + b
+    sin2 = math.sin((a + b) / 2) ** 2
     total = 0.0
     for e in (+1.0, -1.0):
-        root = math.sqrt(c1**2 + c2**2 + 2 * e * c1 * c2 * math.cos(s))
+        root = math.sqrt((c1 + e * c2) ** 2 - 4 * e * c1 * c2 * sin2)
         for lam in ((1 + e * c1 * c2 - root) / 4, (1 + e * c1 * c2 + root) / 4):
             if lam < 0:
                 total -= lam
