@@ -38,16 +38,14 @@ print(f"  collisional time        = {budget.tauColl:.1f} s "
 print(f"  photon scattering rate  = {budget.gammaSc:.3e} 1/s")
 print(f"  photon emission rate    = {budget.gammaEm:.3e} 1/s")
 print(f"  photon absorption rate  = {budget.gammaAbs:.3e} 1/s")
-print(f"  total dephasing prob.   = {budget.totalDephasing:.4f}")
+print(f"  coherence lost 1-e^-GT  = {budget.totalDephasing:.4f}")
 
 print("\n=== what that dephasing does to the signal ===")
-state = gw.entangled_state(-0.2, 0.7)
-dephased = gw.apply_dephasing(state, budget.totalDephasing,
-                              budget.totalDephasing)
-print(f"  negativity before/after = {gw.negativity(state):.4f} / "
-      f"{gw.negativity(dephased):.4f}")
-print(f"  witness    before/after = {gw.witness(state).w:.4f} / "
-      f"{gw.witness(dephased).w:.4f}")
+ev = gw.evaluate(cfg)
+print(f"  negativity before/after = {gw.negativity(ev.state):.4f} / "
+      f"{gw.negativity(ev.dephased):.4f}")
+print(f"  witness    before/after = {gw.witness(ev.state).w:.4f} / "
+      f"{gw.witness(ev.dephased).w:.4f}")
 
 print("\n=== aggregate verdict ===")
 report = gw.feasibility_report(cfg)

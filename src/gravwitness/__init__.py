@@ -30,8 +30,8 @@ from .constraints import (ConstraintReport, casimir_polder_potential, cp_ratio,
 from .decoherence import (DecoherenceRates, collisional_time, dephasing_budget,
                           gas_de_broglie_wavelength, gas_density, thermal_rates,
                           thermal_wavelength)
-from .sweep import (OBJECTIVES, SweepAxis, SweepResult, SweepRow, SweepSpec,
-                    maximize, run_sweep)
+from .sweep import (OBJECTIVES, Evaluation, SweepAxis, SweepResult, SweepRow,
+                    SweepSpec, evaluate, maximize, run_sweep)
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,7 @@ __all__ = [
     "DecoherenceRates", "collisional_time", "dephasing_budget",
     "gas_de_broglie_wavelength", "gas_density", "thermal_rates",
     "thermal_wavelength",
-    "OBJECTIVES", "SweepAxis", "SweepResult", "SweepRow", "SweepSpec",
-    "maximize", "run_sweep",
+    "OBJECTIVES", "Evaluation", "SweepAxis", "SweepResult", "SweepRow",
+    "SweepSpec", "evaluate", "maximize", "run_sweep",
     "__version__",
 ]

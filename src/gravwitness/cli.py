@@ -138,15 +138,12 @@ def _cmd_state(args):
 
 
 def _cmd_witness(args):
-    cfg = _build_config(args)
-    phases = gravphase.static_phases(cfg)
-    state = spinstate.entangled_state(phases.dPhiLR, phases.dPhiRL)
-    default = spinstate.witness(state)
-    settings, optimized = spinstate.optimize_witness(state)
-    report = constraints_mod.feasibility_report(cfg)
+    ev = sweep_mod.evaluate(_build_config(args))
+    default = spinstate.witness(ev.state)
+    settings, optimized = spinstate.optimize_witness(ev.state)
     payload = {
-        "dPhiLR": phases.dPhiLR,
-        "dPhiRL": phases.dPhiRL,
+        "dPhiLR": ev.phases.dPhiLR,
+        "dPhiRL": ev.phases.dPhiRL,
         "w": default.w,
         "expXZ": default.expXZ,
         "expYZ": default.expYZ,
@@ -155,20 +152,17 @@ def _cmd_witness(args):
         "negativity": default.negativity,
         "entangledByNegativity": default.entangledByNegativity,
         "feasibility": {
-            "feasible": report.feasible,
-            "cpRatio": report.cpRatio,
-            "reasons": list(report.reasons),
+            "feasible": ev.report.feasible,
+            "cpRatio": ev.report.cpRatio,
+            "reasons": list(ev.report.reasons),
         },
     }
-    try:
-        budget = decoherence_mod.dephasing_budget(cfg)
-        dephased = spinstate.apply_dephasing(
-            state, budget.totalDephasing, budget.totalDephasing)
-        payload["totalDephasing"] = budget.totalDephasing
-        payload["wDephased"] = spinstate.witness(dephased).w
-        payload["negativityDephased"] = spinstate.negativity(dephased)
-    except RegimeError as err:
-        payload["dephasingRegimeError"] = str(err)
+    if ev.dephased is None:
+        payload["dephasingRegimeError"] = ev.regimeError
+    else:
+        payload["totalDephasing"] = ev.budget.totalDephasing
+        payload["wDephased"] = spinstate.witness(ev.dephased).w
+        payload["negativityDephased"] = spinstate.negativity(ev.dephased)
     return payload
 
 

@@ -38,7 +38,7 @@ class DecoherenceRates:
     gammaEm: float          # photon emission localization, 1/s
     gammaAbs: float         # photon absorption localization, 1/s
     tauColl: float          # 1/gammaColl, s
-    totalDephasing: float   # 1 - exp(-Gamma_total T_exp), in [0, 1)
+    totalDephasing: float   # 1 - exp(-Gamma_total T_exp): coherence lost, in [0, 1)
 
 
 def gas_density(pressure: float, tEnv: float) -> float:
@@ -103,17 +103,14 @@ def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
     return tuple(rates)
 
 
-def dephasing_budget(config: ExperimentConfig,
-                     extraDephasing: float = 0.0) -> DecoherenceRates:
+def dephasing_budget(config: ExperimentConfig) -> DecoherenceRates:
     """Aggregate decoherence over the full drop T_exp = tau + 2 tauAcc.
 
-    ``totalDephasing`` is the phase-flip probability handed to the spin-state
-    dephasing channel for each mass; ``extraDephasing`` adds a user-supplied
-    probability for channels outside this model (e.g. residual spin-bath
-    dephasing after dynamical decoupling).
+    ``totalDephasing`` = 1 - e^{-Gamma T_exp} is the fraction of each mass's
+    coherence lost: its spin coherences decay by 1 - totalDephasing, which
+    a phase-flip channel gives at p = totalDephasing / 2 (see
+    `sweep.evaluate`).
     """
-    if not (math.isfinite(extraDephasing) and 0.0 <= extraDephasing < 1.0):
-        raise ValueError(f"extraDephasing must lie in [0, 1), got {extraDephasing!r}")
     if config.pressure == 0.0:
         gamma_coll = 0.0
     else:
@@ -121,7 +118,7 @@ def dephasing_budget(config: ExperimentConfig,
     g_sc, g_em, g_abs = thermal_rates(config)
     t_exp = config.tau + 2.0 * config.tauAcc
     total_rate = gamma_coll + g_sc + g_em + g_abs
-    p = 1.0 - (1.0 - extraDephasing) * math.exp(-total_rate * t_exp)
+    p = 1.0 - math.exp(-total_rate * t_exp)
     return DecoherenceRates(
         gammaColl=gamma_coll,
         gammaSc=g_sc,

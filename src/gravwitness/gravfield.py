@@ -36,7 +36,6 @@ class FieldModeSet:
     kGrid: np.ndarray        # strictly increasing, positive, 1/m
     weights: np.ndarray      # trapezoidal dk weights, 1/m
     kCut: float              # exponential UV damping scale, 1/m
-    couplingScale: float = 1.0  # continuum normalization (1 by calibration)
 
     def __post_init__(self):
         k = np.asarray(self.kGrid, dtype=float)
@@ -114,7 +113,7 @@ def branch_phase(modes: FieldModeSet, config: ExperimentConfig,
     integrand = np.sinc(k * separation / np.pi) * np.exp(-k / modes.kCut)
     quad = float(np.sum(w * integrand))
     pref = CONSTANTS.G * config.m1 * config.m2 * t / CONSTANTS.hbar
-    return pref * modes.couplingScale * (2.0 / np.pi) * quad
+    return pref * (2.0 / np.pi) * quad
 
 
 def newtonian_phase(config: ExperimentConfig, separation: float, t: float) -> float:
@@ -128,7 +127,7 @@ def _effective_couplings(modes: FieldModeSet, mass: float) -> np.ndarray:
     # UV damping goes on each coupling so products carry e^{-k/kCut}.
     k, w = modes.kGrid, modes.weights
     return mass * np.sqrt(
-        modes.couplingScale * CONSTANTS.G * CONSTANTS.c * k * w / (np.pi * CONSTANTS.hbar)
+        CONSTANTS.G * CONSTANTS.c * k * w / (np.pi * CONSTANTS.hbar)
     ) * np.exp(-k / (2.0 * modes.kCut))
 
 

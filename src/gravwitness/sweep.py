@@ -3,8 +3,8 @@
 Grid sweeps evaluate phases, the dephased spin state, feasibility and the
 decoherence budget at every point; a deterministic coordinate-descent with
 golden-section line searches refines the best feasible grid point.  Rows are
-emitted in row-major axis order and runs are bit-reproducible regardless of
-the worker count.
+emitted in row-major axis order and runs are bit-reproducible.  `evaluate`,
+the one pipeline to the dephased spin state, also serves the CLI `witness`.
 """
 
 from __future__ import annotations
@@ -14,23 +14,22 @@ import dataclasses
 import io
 import itertools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import spinstate
-from .constraints import feasibility_report
+from .constraints import ConstraintReport, feasibility_report
 from .core import (ConfigConsistencyWarning, ConfigError, ExperimentConfig,
                    FIELD_NAMES, RegimeError, validate)
-from .decoherence import dephasing_budget
-from .gravphase import static_phases
+from .decoherence import DecoherenceRates, dephasing_budget
+from .gravphase import PhaseSet, static_phases
 
 OBJECTIVES = ("negativity", "witness", "witnessOptimized")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ROUNDS, _LINE_ITERATIONS = 3, 40     # maximize: descent rounds, steps per axis
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,44 @@ def _objective_value(spec: SweepSpec, state: spinstate.TwoQubitState) -> float:
     return spinstate.optimize_witness(state)[1].w
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """Every stage of one configuration's pipeline.
+
+    ``budget`` and ``dephased`` are None when the decoherence budget is out
+    of its regime; ``regimeError`` then holds the guard's message.
+    """
+
+    phases: PhaseSet
+    report: ConstraintReport
+    state: spinstate.TwoQubitState        # noiseless
+    budget: DecoherenceRates | None
+    dephased: spinstate.TwoQubitState | None
+    regimeError: str = ""
+
+
+def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
+             tauCollOver: float = 1.0) -> Evaluation:
+    """Phases, feasibility, noiseless state, decoherence budget and dephased
+    state of a validated configuration.
+
+    Each mass's spatial coherence decays by e^{-Gamma T} = 1 - totalDephasing
+    over the drop; a phase-flip channel scales coherences by 1 - 2p, so the
+    spin channel gets p = totalDephasing / 2 on each qubit.
+    """
+    phases = static_phases(config)
+    report = feasibility_report(config, targetRatio=cpRatioMax,
+                                tauCollFactor=tauCollOver)
+    state = spinstate.entangled_state(phases.dPhiLR, phases.dPhiRL)
+    try:
+        budget = dephasing_budget(config)
+    except RegimeError as err:
+        return Evaluation(phases, report, state, None, None, str(err))
+    p = budget.totalDephasing / 2.0
+    return Evaluation(phases, report, state, budget,
+                      spinstate.apply_dephasing(state, p, p))
+
+
 def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
                     overrides: dict[str, float]) -> SweepRow:
     nan = float("nan")
@@ -144,75 +181,43 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
                         objective=nan, cpRatio=nan, tauColl=nan,
                         feasible=False, reason=f"invalid config: {err}")
 
-    phases = static_phases(cfg)
-    report = feasibility_report(cfg, targetRatio=spec.cpRatioMax,
-                                tauCollFactor=spec.requireTauCollOver)
-    reasons = list(report.reasons)
-    try:
-        budget = dephasing_budget(cfg)
-        tau_coll = budget.tauColl
-        p = budget.totalDephasing
-        state = spinstate.entangled_state(phases.dPhiLR, phases.dPhiRL)
-        obj = _objective_value(spec, spinstate.apply_dephasing(state, p, p))
-    except RegimeError as err:
-        tau_coll, obj = nan, nan
-        msg = f"decoherence regime: {err}"
+    ev = evaluate(cfg, spec.cpRatioMax, spec.requireTauCollOver)
+    reasons = list(ev.report.reasons)
+    tau_coll, obj = nan, nan
+    if ev.dephased is None:
+        msg = f"decoherence regime: {ev.regimeError}"
         if msg not in reasons:
             reasons.append(msg)
-    return SweepRow(
-        params=dict(overrides),
-        dPhiLR=phases.dPhiLR,
-        dPhiRL=phases.dPhiRL,
-        objective=obj,
-        cpRatio=report.cpRatio,
-        tauColl=tau_coll,
-        feasible=not reasons,
-        reason="; ".join(reasons),
-    )
+    else:
+        tau_coll, obj = ev.budget.tauColl, _objective_value(spec, ev.dephased)
+    return SweepRow(params=dict(overrides), dPhiLR=ev.phases.dPhiLR,
+                    dPhiRL=ev.phases.dPhiRL, objective=obj,
+                    cpRatio=ev.report.cpRatio, tauColl=tau_coll,
+                    feasible=not reasons, reason="; ".join(reasons))
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        workers = min(8, os.cpu_count() or 1)
-    cap = os.environ.get("GRAVWITNESS_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"GRAVWITNESS_THREADS must be an integer, "
-                              f"got {cap!r}") from None
-    return max(1, workers)
-
-
-def run_sweep(spec: SweepSpec, base_config: ExperimentConfig,
-              workers: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, base_config: ExperimentConfig) -> SweepResult:
     """Evaluate the grid in row-major order of the axes as given.
 
-    Invalid grid points are emitted as infeasible rows, not dropped.  Grid
-    points are independent pure evaluations, so the output is identical for
-    any worker count.
+    Invalid grid points are emitted as infeasible rows, not dropped.
     """
     grids = [axis.values() for axis in spec.axes]
     names = [axis.name for axis in spec.axes]
-    points = [dict(zip(names, (float(v) for v in combo)))
-              for combo in itertools.product(*grids)]
-    workers = _worker_count(workers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
-        if workers == 1:
-            rows = [_evaluate_point(base_config, spec, p) for p in points]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(
-                    lambda p: _evaluate_point(base_config, spec, p), points))
-    return SweepResult(spec=spec, rows=tuple(rows))
+        rows = tuple(
+            _evaluate_point(base_config, spec,
+                            dict(zip(names, (float(v) for v in combo))))
+            for combo in itertools.product(*grids))
+    return SweepResult(spec=spec, rows=rows)
 
 
-def _line_search(base: ExperimentConfig, spec: SweepSpec, params: dict,
-                 axis: SweepAxis, best: tuple[float, dict],
-                 iterations: int) -> tuple[float, dict]:
-    """Golden-section maximization along one axis (log axes searched in log
-    space).  Infeasible points score -inf; returns the best point seen."""
+def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
+                 best: tuple[float, dict]) -> tuple[float, dict]:
+    """Golden-section maximization along one axis through the incumbent
+    ``best`` (log axes searched in log space).  Infeasible points score
+    -inf; returns the best point seen."""
+    params = dict(best[1])
     to_x = math.log if axis.spacing == "log" else (lambda v: v)
     from_x = math.exp if axis.spacing == "log" else (lambda v: v)
 
@@ -231,7 +236,7 @@ def _line_search(base: ExperimentConfig, spec: SweepSpec, params: dict,
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = score(x1), score(x2)
-    for _ in range(iterations):
+    for _ in range(_LINE_ITERATIONS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -243,16 +248,15 @@ def _line_search(base: ExperimentConfig, spec: SweepSpec, params: dict,
     return best
 
 
-def maximize(spec: SweepSpec, base_config: ExperimentConfig,
-             workers: int | None = None, rounds: int = 3,
-             line_iterations: int = 40) -> tuple[ExperimentConfig, SweepRow]:
+def maximize(spec: SweepSpec,
+             base_config: ExperimentConfig) -> tuple[ExperimentConfig, SweepRow]:
     """Best feasible grid point refined by coordinate descent.
 
     The returned configuration is always feasible and its objective is >=
     every feasible grid row (the refinement only ever replaces the incumbent
     with a better feasible point).  Fully deterministic for a fixed spec.
     """
-    result = run_sweep(spec, base_config, workers=workers)
+    result = run_sweep(spec, base_config)
     feasible = [r for r in result.rows
                 if r.feasible and math.isfinite(r.objective)]
     if not feasible:
@@ -262,10 +266,9 @@ def maximize(spec: SweepSpec, base_config: ExperimentConfig,
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
-        for _ in range(rounds):
+        for _ in range(_ROUNDS):
             for axis in spec.axes:
-                best = _line_search(base_config, spec, dict(best[1]), axis,
-                                    best, line_iterations)
+                best = _line_search(base_config, spec, axis, best)
         final_row = _evaluate_point(base_config, spec, best[1])
         final_config = validate(dataclasses.replace(base_config, **best[1]))
     return final_config, final_row

@@ -208,10 +208,33 @@ def test_conflicting_config_sources(tmp_path, capsys):
     assert "mutually exclusive" in err
 
 
-def test_sweep_malformed_thread_cap_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("GRAVWITNESS_THREADS", "abc")
-    code, out, err = run_cli(capsys, "sweep", "--paper-defaults",
-                             "--axis", "tau:0.5:2.5:3")
-    assert code == 2
-    assert out == ""
-    assert "GRAVWITNESS_THREADS" in err
+def test_witness_dephased_at_paper_defaults(capsys):
+    # the budget's 13.9 % coherence loss leaves a little entanglement
+    code, out, _ = run_cli(capsys, "witness", "--paper-defaults")
+    assert code == 0
+    data = json.loads(out)
+    assert data["totalDephasing"] == pytest.approx(0.138996235245, rel=1e-9)
+    assert data["negativityDephased"] == pytest.approx(0.00262942, rel=1e-5)
+
+
+def test_witness_dephased_at_high_pressure_has_no_entanglement(capsys):
+    # at 1e-13 Pa every coherence is lost, so nothing survives
+    code, out, _ = run_cli(capsys, "witness", "--paper-defaults",
+                           "--set", "pressure=1e-13")
+    assert code == 0
+    data = json.loads(out)
+    assert data["totalDephasing"] > 0.999
+    assert data["negativity"] == pytest.approx(0.0781617306618, rel=1e-9)
+    assert data["negativityDephased"] == 0.0
+
+
+def test_witness_and_sweep_agree(capsys):
+    # the first row of this axis is the paper-defaults point
+    _, out, _ = run_cli(capsys, "witness", "--paper-defaults")
+    witness = json.loads(out)
+    code, out, _ = run_cli(capsys, "sweep", "--paper-defaults",
+                           "--axis", "tau:2.5:5:2", "--format", "json")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["tau"] == 2.5
+    assert row["objective"] == witness["negativityDephased"]
