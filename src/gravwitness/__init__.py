@@ -21,9 +21,9 @@ from .spinstate import (TwoQubitState, WitnessResult, WitnessSettings,
                         apply_dephasing, entangled_state, expectation,
                         negativity, optimize_witness, witness)
 from .gravfield import (BranchDisplacements, FieldModeSet, branch_displacement_set,
-                        branch_overlap, branch_phase, build_modes, classicalize,
-                        dephase_branch_basis, displacements, modes_for_separation,
-                        newtonian_phase, reduced_mass_state)
+                        branch_overlap, branch_overlaps, branch_phase, build_modes,
+                        classicalize, dephase_branch_basis, displacements,
+                        modes_for_separation, newtonian_phase, reduced_mass_state)
 from .constraints import (ConstraintReport, casimir_polder_potential, cp_ratio,
                           feasibility_report, gravitational_potential,
                           magnetic_interaction_ratio, min_separation)
@@ -47,9 +47,9 @@ __all__ = [
     "entangled_state", "expectation", "negativity", "optimize_witness",
     "witness",
     "BranchDisplacements", "FieldModeSet", "branch_displacement_set",
-    "branch_overlap", "branch_phase", "build_modes", "classicalize",
-    "dephase_branch_basis", "displacements", "modes_for_separation",
-    "newtonian_phase", "reduced_mass_state",
+    "branch_overlap", "branch_overlaps", "branch_phase", "build_modes",
+    "classicalize", "dephase_branch_basis", "displacements",
+    "modes_for_separation", "newtonian_phase", "reduced_mass_state",
     "ConstraintReport", "casimir_polder_potential", "cp_ratio",
     "feasibility_report", "gravitational_potential",
     "magnetic_interaction_ratio", "min_separation",

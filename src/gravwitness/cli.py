@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
+import math
 import sys
 
 from . import constraints as constraints_mod
@@ -187,8 +189,8 @@ def _cmd_decoherence(args):
 
 def _cmd_field(args):
     cfg = _build_config(args)
-    separation = args.separation if args.separation else cfg.d - cfg.dx
-    t = args.time if args.time else cfg.tau
+    separation = cfg.d - cfg.dx if args.separation is None else args.separation
+    t = cfg.tau if args.time is None else args.time
     target = gravfield.newtonian_phase(cfg, separation, t)
     steps = []
     n = max(2, args.n_modes // 16)
@@ -204,13 +206,11 @@ def _cmd_field(args):
         convergence.append({"nModes": n_modes, "phase": phase,
                             "newtonian": target, "ratio": phase / target})
 
-    modes = gravfield.modes_for_separation(separation, nModes=args.n_modes,
-                                           kCutTimesR=args.k_cut_times_r)
+    # the last convergence step is the full --n-modes grid
     branches = gravfield.branch_displacement_set(modes, cfg, t)
-    quantum = gravfield.reduced_mass_state(branches)
-    classical = gravfield.classicalize(branches)
-    overlaps = [abs(gravfield.branch_overlap(branches[a], branches[b]))
-                for a in gravphase.BRANCHES for b in gravphase.BRANCHES if a < b]
+    overlaps = gravfield.branch_overlaps(branches)
+    quantum = gravfield.reduced_mass_state(branches, overlaps)
+    classical = gravfield.dephase_branch_basis(quantum)
     phases = gravphase.static_phases(cfg)
     spin_reference = spinstate.negativity(
         spinstate.entangled_state(phases.dPhiLR, phases.dPhiRL))
@@ -218,7 +218,7 @@ def _cmd_field(args):
         "separation": separation,
         "time": t,
         "convergence": convergence,
-        "minOverlapMagnitude": min(overlaps),
+        "minOverlapMagnitude": min(abs(ov) for ov in overlaps.values()),
         "negativityQuantum": spinstate.negativity(quantum),
         "negativityClassicalized": spinstate.negativity(classical),
         "negativitySpinstateReference": spin_reference,
@@ -275,7 +275,28 @@ def _cmd_sweep(args):
 
 # -------------------------------------------------------------------- main
 
+def _checked(kind, ok, what):
+    """argparse ``type=`` that converts with ``kind`` and rejects values
+    failing ``ok``, so a bad option exits 2 and names itself."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    convert.__name__ = kind.__name__     # argparse's "invalid float value"
+    return convert
+
+
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                     "a finite number > 0")
+_NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                         "a finite number >= 0")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main`
+    call in the process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="gravwitness",
         description="Gravitationally induced entanglement: phases, witness, "
@@ -296,27 +317,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phases", help="branch phases and differentials")
     add_common(p)
-    p.add_argument("--dynamic-steps", type=int, default=0,
+    p.add_argument("--dynamic-steps", default=0,
+                   type=_checked(int, lambda n: n == 0 or n >= 2, "0 or >= 2"),
                    help="also integrate phases over split/hold/recombine "
-                        "with this many panels per stage")
+                        "with this many panels per stage (0: off)")
 
     add_common(sub.add_parser("state", help="post-interferometer two-spin state"))
     add_common(sub.add_parser("witness", help="witness, optimized witness, negativity"))
 
     p = sub.add_parser("constraints", help="Casimir-Polder / magnetic feasibility")
     add_common(p)
-    p.add_argument("--target-ratio", type=float, default=0.1)
-    p.add_argument("--b-residual", type=float, default=0.0)
+    p.add_argument("--target-ratio", type=_POSITIVE, default=0.1)
+    p.add_argument("--b-residual", type=_NON_NEGATIVE, default=0.0)
 
     add_common(sub.add_parser("decoherence", help="collisional and thermal budget"))
 
     p = sub.add_parser("field", help="field-mode convergence and classicalization")
     add_common(p)
-    p.add_argument("--n-modes", type=int, default=4000)
-    p.add_argument("--k-cut-times-r", type=float, default=2e3)
-    p.add_argument("--separation", type=float, default=0.0,
+    p.add_argument("--n-modes", default=4000,
+                   type=_checked(int, lambda n: n >= 2, ">= 2"))
+    p.add_argument("--k-cut-times-r", type=_POSITIVE, default=2e3)
+    p.add_argument("--separation", type=_POSITIVE,
                    help="branch separation (default: d - dx)")
-    p.add_argument("--time", type=float, default=0.0,
+    p.add_argument("--time", type=_POSITIVE,
                    help="interaction time (default: tau)")
 
     p = sub.add_parser("sweep", help="grid sweep / constrained maximization")

@@ -21,6 +21,7 @@ overlap (which-path) estimate, which is astronomically close to 1 here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -131,33 +132,34 @@ def _effective_couplings(modes: FieldModeSet, mass: float) -> np.ndarray:
     ) * np.exp(-k / (2.0 * modes.kCut))
 
 
-def displacements(modes: FieldModeSet, config: ExperimentConfig,
-                  positions: tuple[float, float], t: float) -> BranchDisplacements:
-    """Per-mode coherent amplitudes for one branch at time t (vacuum initial
-    field): alpha_k = (g1/w_k e^{i k x1} + g2/w_k e^{i k x2})(e^{i w_k t} - 1)."""
+def _branches(modes: FieldModeSet, config: ExperimentConfig, t: float,
+              positions: dict) -> dict[str, BranchDisplacements]:
+    """alpha_k = (g1/w_k e^{i k x1} + g2/w_k e^{i k x2})(e^{i w_k t} - 1) per
+    branch (vacuum initial field), computing each factor once."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t!r}")
-    x1, x2 = positions
     k = modes.kGrid
     omega = CONSTANTS.c * k
-    g1 = _effective_couplings(modes, config.m1)
-    g2 = _effective_couplings(modes, config.m2)
-    alpha = (g1 / omega * np.exp(1j * k * x1) + g2 / omega * np.exp(1j * k * x2)) \
-        * (np.exp(1j * omega * t) - 1.0)
-    return BranchDisplacements(
-        modes=modes,
-        alpha=alpha,
-        branchPhase=branch_phase(modes, config, abs(x2 - x1), t),
-    )
+    c1 = _effective_couplings(modes, config.m1) / omega
+    c2 = _effective_couplings(modes, config.m2) / omega
+    ring = np.exp(1j * omega * t) - 1.0
+    waves = {x: np.exp(1j * k * x) for pos in positions.values() for x in pos}
+    return {b: BranchDisplacements(
+                modes=modes, alpha=(c1 * waves[x1] + c2 * waves[x2]) * ring,
+                branchPhase=branch_phase(modes, config, abs(x2 - x1), t))
+            for b, (x1, x2) in positions.items()}
+
+
+def displacements(modes: FieldModeSet, config: ExperimentConfig,
+                  positions: tuple[float, float], t: float) -> BranchDisplacements:
+    """Per-mode coherent amplitudes for one branch at time t."""
+    return _branches(modes, config, t, {"": positions})[""]
 
 
 def branch_displacement_set(modes: FieldModeSet, config: ExperimentConfig,
                             t: float) -> dict[str, BranchDisplacements]:
     """Displacements for all four branches at a common time."""
-    return {
-        b: displacements(modes, config, pos, t)
-        for b, pos in branch_positions(config).items()
-    }
+    return _branches(modes, config, t, branch_positions(config))
 
 
 def branch_overlap(dA: BranchDisplacements, dB: BranchDisplacements) -> complex:
@@ -176,23 +178,33 @@ def branch_overlap(dA: BranchDisplacements, dB: BranchDisplacements) -> complex:
     return complex(np.exp(-0.5 * diff2) * np.exp(1j * phase))
 
 
-def reduced_mass_state(branches: dict[str, BranchDisplacements]) -> TwoQubitState:
+def branch_overlaps(branches: dict[str, BranchDisplacements]) -> dict:
+    """<chi_b' | chi_b> for the six branch pairs (b, b'), b before b' in
+    BRANCHES; the reversed pairs are their complex conjugates."""
+    missing = [b for b in BRANCHES if b not in branches]
+    if missing:
+        raise ValueError(f"missing branches: {missing}")
+    return {(bi, bj): branch_overlap(branches[bj], branches[bi])
+            for bi, bj in combinations(BRANCHES, 2)}
+
+
+def reduced_mass_state(branches: dict[str, BranchDisplacements],
+                       overlaps: dict | None = None) -> TwoQubitState:
     """Orbital-qubit density matrix after tracing out the field:
     rho_{b b'} = (1/4) e^{i(phi_b - phi_b')} <chi_b' | chi_b>.
 
     This is 1/4 times a Gram matrix of unit vectors, hence a valid state.
     In the limit of unit overlaps it equals the pure entangled state built
-    from the same phase differentials.
+    from the same phase differentials.  ``overlaps`` (`branch_overlaps`) fill
+    the upper triangle; the lower one is their exact conjugate.
     """
-    missing = [b for b in BRANCHES if b not in branches]
-    if missing:
-        raise ValueError(f"missing branches: {missing}")
-    rho = np.empty((4, 4), dtype=complex)
-    for i, bi in enumerate(BRANCHES):
-        for j, bj in enumerate(BRANCHES):
-            ov = 1.0 + 0j if i == j else branch_overlap(branches[bj], branches[bi])
-            rho[i, j] = 0.25 * np.exp(1j * (branches[bi].branchPhase
-                                            - branches[bj].branchPhase)) * ov
+    overlaps = branch_overlaps(branches) if overlaps is None else overlaps
+    rho = np.diag(np.full(4, 0.25, dtype=complex))
+    for (bi, bj), ov in overlaps.items():
+        i, j = BRANCHES.index(bi), BRANCHES.index(bj)
+        rho[i, j] = 0.25 * np.exp(1j * (branches[bi].branchPhase
+                                        - branches[bj].branchPhase)) * ov
+        rho[j, i] = np.conj(rho[i, j])
     return TwoQubitState(rho)
 
 

@@ -3,8 +3,11 @@ import warnings
 
 import pytest
 
-from gravwitness.cli import main
+from gravwitness import gravfield
+from gravwitness.cli import build_parser, main
 from gravwitness.core import ConfigConsistencyWarning, config_from_dict
+from gravwitness.gravphase import BRANCHES
+from gravwitness.spinstate import negativity
 
 
 def run_cli(capsys, *argv):
@@ -238,3 +241,63 @@ def test_witness_and_sweep_agree(capsys):
     row = json.loads(out)[0]
     assert row["tau"] == 2.5
     assert row["objective"] == witness["negativityDephased"]
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_share_no_state(capsys):
+    _, first, _ = run_cli(capsys, "witness", "--paper-defaults")
+    code, _, _ = run_cli(capsys, "sweep", "--paper-defaults",
+                         "--set", "pressure=1e-30", "--axis", "tau:0.5:2.5:3")
+    assert code == 0
+    _, moved, _ = run_cli(capsys, "witness", "--paper-defaults",
+                          "--set", "tau=1.0")
+    _, last, _ = run_cli(capsys, "witness", "--paper-defaults")
+    assert moved != first
+    assert last == first
+    args = build_parser().parse_args(["witness", "--paper-defaults"])
+    assert args.set is None
+
+
+def test_field_payload_matches_direct_computation(capsys, paper_config):
+    code, out, _ = run_cli(capsys, "field", "--paper-defaults",
+                           "--n-modes", "300", "--time", "1.5")
+    assert code == 0
+    data = json.loads(out)
+    modes = gravfield.modes_for_separation(paper_config.d - paper_config.dx,
+                                           nModes=300)
+    branches = gravfield.branch_displacement_set(modes, paper_config, 1.5)
+    assert data["time"] == 1.5
+    assert data["minOverlapMagnitude"] == min(
+        abs(gravfield.branch_overlap(branches[a], branches[b]))
+        for a in BRANCHES for b in BRANCHES if a < b)
+    assert data["negativityQuantum"] == negativity(
+        gravfield.reduced_mass_state(branches))
+    assert data["negativityClassicalized"] == negativity(
+        gravfield.classicalize(branches))
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("field", "--n-modes", "1"), "--n-modes"),
+    (("field", "--k-cut-times-r", "0"), "--k-cut-times-r"),
+    (("field", "--k-cut-times-r", "-5"), "--k-cut-times-r"),
+    (("field", "--k-cut-times-r", "nan"), "--k-cut-times-r"),
+    (("field", "--time", "-1"), "--time"),
+    (("field", "--time", "0"), "--time"),
+    (("field", "--separation", "0"), "--separation"),
+    (("field", "--separation", "-1e-4"), "--separation"),
+    (("phases", "--dynamic-steps", "1"), "--dynamic-steps"),
+    (("phases", "--dynamic-steps", "-3"), "--dynamic-steps"),
+    (("constraints", "--b-residual", "-1e-6"), "--b-residual"),
+    (("constraints", "--target-ratio", "0"), "--target-ratio"),
+    (("constraints", "--target-ratio", "-1"), "--target-ratio"),
+])
+def test_out_of_range_option_is_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--paper-defaults", *argv[1:]])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert not out
+    assert f"argument {option}" in err

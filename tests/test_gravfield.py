@@ -7,11 +7,11 @@ import pytest
 from gravwitness.core import CONSTANTS
 from gravwitness.gravfield import (BranchDisplacements, FieldModeSet,
                                    branch_displacement_set, branch_overlap,
-                                   branch_phase, build_modes, classicalize,
-                                   dephase_branch_basis, displacements,
-                                   modes_for_separation, newtonian_phase,
-                                   reduced_mass_state)
-from gravwitness.gravphase import BRANCHES, static_phases
+                                   branch_overlaps, branch_phase, build_modes,
+                                   classicalize, dephase_branch_basis,
+                                   displacements, modes_for_separation,
+                                   newtonian_phase, reduced_mass_state)
+from gravwitness.gravphase import BRANCHES, branch_positions, static_phases
 from gravwitness.spinstate import entangled_state, negativity
 
 
@@ -259,3 +259,69 @@ def test_unequal_masses_supported(paper_config):
     branches = branch_displacement_set(modes, cfg, cfg.tau)
     state = reduced_mass_state(branches)
     assert negativity(state) > 0
+
+
+def _loop_reduced_mass_rho(branches):
+    """Oracle: every element from its own overlap, the lower triangle too."""
+    rho = np.empty((4, 4), dtype=complex)
+    for i, bi in enumerate(BRANCHES):
+        for j, bj in enumerate(BRANCHES):
+            ov = 1.0 + 0j if i == j else branch_overlap(branches[bj], branches[bi])
+            rho[i, j] = 0.25 * np.exp(1j * (branches[bi].branchPhase
+                                            - branches[bj].branchPhase)) * ov
+    return rho
+
+
+def _formula_alpha(modes, config, positions, t):
+    """Oracle: alpha_k = (g1/w e^{i k x1} + g2/w e^{i k x2})(e^{i w t} - 1)
+    with gbar = m sqrt(G c k dk/(pi hbar)) e^{-k/(2 kCut)}, term by term."""
+    k, w = modes.kGrid, modes.weights
+    omega = CONSTANTS.c * k
+    damp = np.exp(-k / (2.0 * modes.kCut))
+    shell = np.sqrt(CONSTANTS.G * CONSTANTS.c * k * w / (np.pi * CONSTANTS.hbar))
+    g1, g2 = config.m1 * shell * damp, config.m2 * shell * damp
+    x1, x2 = positions
+    return (g1 / omega * np.exp(1j * k * x1) + g2 / omega * np.exp(1j * k * x2)) \
+        * (np.exp(1j * omega * t) - 1.0)
+
+
+@pytest.mark.parametrize("m2, t", [(None, None), (2e-14, 0.7), (None, 0.0)])
+def test_branch_displacement_set_matches_displacements_bitwise(paper_config, m2, t):
+    cfg = paper_config if m2 is None else dataclasses.replace(paper_config, m2=m2)
+    t = cfg.tau if t is None else t
+    modes = modes_for_separation(200e-6, nModes=300)
+    positions = branch_positions(cfg)
+    for b, got in branch_displacement_set(modes, cfg, t).items():
+        one = displacements(modes, cfg, positions[b], t)
+        assert np.array_equal(got.alpha, one.alpha)
+        assert np.array_equal(got.alpha, _formula_alpha(modes, cfg, positions[b], t))
+        assert got.branchPhase == one.branchPhase == branch_phase(
+            modes, cfg, abs(positions[b][1] - positions[b][0]), t)
+
+
+def test_reduced_mass_state_matches_element_loop(paper_config):
+    rng = np.random.default_rng(17)
+    modes = modes_for_separation(200e-6, nModes=40)
+    sets = [branch_displacement_set(modes, paper_config, paper_config.tau)]
+    for _ in range(20):   # overlaps far from 1 and arbitrary phases
+        sets.append({b: BranchDisplacements(
+            modes=modes,
+            alpha=0.2 * (rng.normal(size=40) + 1j * rng.normal(size=40)),
+            branchPhase=float(rng.uniform(-50, 50))) for b in BRANCHES})
+    for branches in sets:
+        rho = reduced_mass_state(branches).rho
+        assert np.array_equal(rho, _loop_reduced_mass_rho(branches))
+        assert np.array_equal(rho, rho.conj().T)
+        given = reduced_mass_state(branches, branch_overlaps(branches)).rho
+        assert np.array_equal(given, rho)
+
+
+def test_branch_overlaps_are_the_six_pairs(paper_config):
+    modes = modes_for_separation(200e-6, nModes=100)
+    branches = branch_displacement_set(modes, paper_config, paper_config.tau)
+    overlaps = branch_overlaps(branches)
+    assert list(overlaps) == [("LL", "LR"), ("LL", "RL"), ("LL", "RR"),
+                              ("LR", "RL"), ("LR", "RR"), ("RL", "RR")]
+    for (a, b), ov in overlaps.items():
+        assert ov == branch_overlap(branches[b], branches[a])
+        assert abs(ov) == abs(branch_overlap(branches[a], branches[b]))
