@@ -17,12 +17,14 @@ import io
 import json
 import math
 import sys
+import warnings
 
 from . import constraints as constraints_mod
 from . import decoherence as decoherence_mod
 from . import gravfield, gravphase, spinstate, sweep as sweep_mod
-from .core import (ConfigError, ExperimentConfig, RegimeError, config_from_dict,
-                   config_to_dict, load_config, paper_defaults, validate)
+from .core import (ConfigConsistencyWarning, ConfigError, ExperimentConfig,
+                   RegimeError, config_from_dict, config_to_dict, load_config,
+                   paper_defaults, validate)
 
 
 class CliUsageError(Exception):
@@ -95,24 +97,37 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
-def _build_config(args) -> ExperimentConfig:
+def _build_config(args) -> tuple[ExperimentConfig, list[str]]:
+    """The validated configuration, and the messages of the
+    ConfigConsistencyWarnings that validating it raised, in order and
+    without repeats.  Other warnings are passed on as they are."""
     if args.config and args.paper_defaults:
         raise CliUsageError("--config and --paper-defaults are mutually exclusive")
-    base = load_config(args.config) if args.config else validate(paper_defaults())
-    overrides = _parse_overrides(args.set)
-    if overrides:
-        return config_from_dict(overrides, base=base)
-    return base
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConfigConsistencyWarning)
+        config = load_config(args.config) if args.config else validate(paper_defaults())
+        final = 0
+        overrides = _parse_overrides(args.set)
+        if overrides:
+            final = len(caught)     # only the final configuration's notes
+            config = config_from_dict(overrides, base=config)
+    notes = []
+    for i, w in enumerate(caught):
+        if not issubclass(w.category, ConfigConsistencyWarning):
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
+        elif i >= final:
+            notes.append(str(w.message))
+    return config, list(dict.fromkeys(notes))
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_defaults(args):
+def _cmd_defaults(args, cfg):
     return config_to_dict(paper_defaults())
 
 
-def _cmd_phases(args):
-    cfg = _build_config(args)
+def _cmd_phases(args, cfg):
     phases = gravphase.static_phases(cfg)
     payload = dataclasses.asdict(phases)
     payload["separations"] = gravphase.pairwise_separations(cfg)
@@ -125,8 +140,7 @@ def _cmd_phases(args):
     return payload
 
 
-def _cmd_state(args):
-    cfg = _build_config(args)
+def _cmd_state(args, cfg):
     phases = gravphase.static_phases(cfg)
     state = spinstate.entangled_state(phases.dPhiLR, phases.dPhiRL)
     return {
@@ -139,8 +153,8 @@ def _cmd_state(args):
     }
 
 
-def _cmd_witness(args):
-    ev = sweep_mod.evaluate(_build_config(args))
+def _cmd_witness(args, cfg):
+    ev = sweep_mod.evaluate(cfg)
     default = spinstate.witness(ev.state)
     settings, optimized = spinstate.optimize_witness(ev.state)
     payload = {
@@ -168,8 +182,7 @@ def _cmd_witness(args):
     return payload
 
 
-def _cmd_constraints(args):
-    cfg = _build_config(args)
+def _cmd_constraints(args, cfg):
     report = constraints_mod.feasibility_report(
         cfg, targetRatio=args.target_ratio, bResidual=args.b_residual)
     payload = dataclasses.asdict(report)
@@ -177,8 +190,7 @@ def _cmd_constraints(args):
     return payload
 
 
-def _cmd_decoherence(args):
-    cfg = _build_config(args)
+def _cmd_decoherence(args, cfg):
     budget = decoherence_mod.dephasing_budget(cfg)
     payload = dataclasses.asdict(budget)
     payload["experimentDuration"] = cfg.tau + 2.0 * cfg.tauAcc
@@ -187,8 +199,7 @@ def _cmd_decoherence(args):
     return payload
 
 
-def _cmd_field(args):
-    cfg = _build_config(args)
+def _cmd_field(args, cfg):
     separation = cfg.d - cfg.dx if args.separation is None else args.separation
     t = cfg.tau if args.time is None else args.time
     target = gravfield.newtonian_phase(cfg, separation, t)
@@ -239,7 +250,7 @@ def _parse_axis(text: str) -> sweep_mod.SweepAxis:
         raise CliUsageError(f"--axis {text!r}: {err}") from None
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args, cfg):
     if not args.axis:
         raise CliUsageError("sweep needs at least one --axis")
     axes = tuple(_parse_axis(a) for a in args.axis)
@@ -249,7 +260,6 @@ def _cmd_sweep(args):
                                    requireTauCollOver=args.tau_coll_over)
     except ValueError as err:
         raise CliUsageError(str(err)) from None
-    cfg = _build_config(args)
     if args.maximize:
         best_config, best_row = sweep_mod.maximize(spec, cfg)
         return {
@@ -370,7 +380,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = _COMMANDS[args.command](args)
+        # `defaults` reads no configuration and has no notes
+        cfg, notes = ((None, None) if args.command == "defaults"
+                      else _build_config(args))
+        payload = _COMMANDS[args.command](args, cfg)
     except (CliUsageError, ConfigError, FileNotFoundError,
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -379,6 +392,12 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
+    # configuration warnings are data: a key of a JSON object, else stderr
+    if isinstance(payload, dict) and args.format == "json" and notes is not None:
+        payload["warnings"] = notes
+    else:
+        for note in notes or ():
+            print(f"warning: {note}", file=sys.stderr)
     if isinstance(payload, sweep_mod.SweepResult):
         text = payload.to_csv()
     else:

@@ -103,6 +103,8 @@ def paper_defaults() -> ExperimentConfig:
 
 def _finite_number(value) -> bool:
     # bool is an int subclass, but True and False are not quantities
+    if type(value) is float:
+        return math.isfinite(value)
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
 
@@ -179,7 +181,7 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     if problems:
         raise ConfigError("; ".join(problems))
 
-    return dataclasses.replace(config, dx=dx)
+    return config if dx is config.dx else dataclasses.replace(config, dx=dx)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

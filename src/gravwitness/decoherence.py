@@ -86,7 +86,7 @@ def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
     hc = CONSTANTS.hbar * CONSTANTS.c
     rates = []
     for temp, kind in ((config.tEnv, "sc"), (config.tInt, "em"), (config.tEnv, "abs")):
-        if temp == 0.0:
+        if CONSTANTS.kB * temp == 0.0:     # no photons; also where kB T underflows
             rates.append(0.0)
             continue
         if config.dx > thermal_wavelength(temp) / _REGIME_MARGIN:

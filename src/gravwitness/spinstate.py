@@ -46,9 +46,9 @@ class TwoQubitState:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"rho must be 4x4, got shape {rho.shape}")
-        if not np.all(np.isfinite(rho.view(float))):
+        if not np.isfinite(rho).all():
             raise ValueError("rho contains non-finite entries")
-        herm = np.max(np.abs(rho - rho.conj().T))
+        herm = abs(rho - rho.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise ValueError(f"rho not Hermitian: max |rho - rho^dag| = {herm:g}")
         tr = rho.trace()
@@ -89,8 +89,16 @@ def entangled_state(dPhiLR: float, dPhiRL: float) -> TwoQubitState:
     """Pure state with amplitudes (1, e^{i dPhiLR}, e^{i dPhiRL}, 1)/2."""
     if not (math.isfinite(dPhiLR) and math.isfinite(dPhiRL)):
         raise ValueError("phases must be finite")
-    v = np.array([1.0, np.exp(1j * dPhiLR), np.exp(1j * dPhiRL), 1.0]) / 2.0
-    return TwoQubitState(np.outer(v, v.conj()))
+    return TwoQubitState(_pure_rho(dPhiLR, dPhiRL))
+
+
+def _pure_rho(dPhiLR, dPhiRL) -> np.ndarray:
+    """v v^dagger for v = (1, e^{i dPhiLR}, e^{i dPhiRL}, 1)/2.  Arrays of
+    phases give a stack of matrices along the leading axes."""
+    one = np.ones(np.shape(dPhiLR))
+    v = np.stack([one, np.exp(1j * dPhiLR), np.exp(1j * dPhiRL), one],
+                 axis=-1) / 2.0
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def expectation(state: TwoQubitState, pauli1: str, pauli2: str) -> float:
@@ -101,7 +109,12 @@ def expectation(state: TwoQubitState, pauli1: str, pauli2: str) -> float:
     except (KeyError, AttributeError):
         raise ValueError(f"invalid Pauli index pair ({pauli1!r}, {pauli2!r}); "
                          "expected I, X, Y or Z") from None
-    return float(np.real(np.trace(state.rho @ product)))
+    return float(_expectation(state.rho, product))
+
+
+def _expectation(rho: np.ndarray, product: np.ndarray):
+    """Re Tr(rho P) of a density matrix or of each one of a stack."""
+    return np.real(np.trace(rho @ product, axis1=-2, axis2=-1))
 
 
 def negativity(state: TwoQubitState) -> float:
@@ -127,16 +140,29 @@ def witness(state: TwoQubitState, settings: WitnessSettings | None = None) -> Wi
                     expectation(state, "X", "Z"), expectation(state, "Y", "Z"))
 
 
-def _witness(state: TwoQubitState, theta1: float, cxz: float,
-             cyz: float) -> WitnessResult:
+def _rotated_w(theta1: float, cxz: float, cyz: float) -> tuple[float, float, float]:
+    """W, <XZ> and <YZ> after the rotation Rz(theta1) of qubit 1, from the
+    unrotated <XZ> and <YZ>."""
     # Conjugating sigma_x by Rz(t) gives cos(t) sx - sin(t) sy, and sigma_y
     # gives cos(t) sy + sin(t) sx; sigma_z on qubit 2 commutes with Rz(thetaZ2).
     c, s = math.cos(theta1), math.sin(theta1)
     exz = c * cxz - s * cyz
     eyz = c * cyz + s * cxz
+    return abs(exz - eyz), exz, eyz
+
+
+def _optimal_theta(cxz: float, cyz: float) -> float:
+    """The thetaZ1 that maximizes W; see `optimize_witness`."""
+    # + 0.0 turns the -0.0 of atan2(-0.0, 0.0) into 0.0 for W = 0 states
+    return math.atan2(-(cxz + cyz), cxz - cyz) + 0.0
+
+
+def _witness(state: TwoQubitState, theta1: float, cxz: float,
+             cyz: float) -> WitnessResult:
+    w, exz, eyz = _rotated_w(theta1, cxz, cyz)
     neg = negativity(state)
     return WitnessResult(
-        w=abs(exz - eyz),
+        w=w,
         expXZ=exz,
         expYZ=eyz,
         negativity=neg,
@@ -154,8 +180,7 @@ def optimize_witness(state: TwoQubitState) -> tuple[WitnessSettings, WitnessResu
     """
     cxz = expectation(state, "X", "Z")
     cyz = expectation(state, "Y", "Z")
-    # + 0.0 turns the -0.0 of atan2(-0.0, 0.0) into 0.0 for W = 0 states
-    settings = WitnessSettings(thetaZ1=math.atan2(-(cxz + cyz), cxz - cyz) + 0.0)
+    settings = WitnessSettings(thetaZ1=_optimal_theta(cxz, cyz))
     return settings, _witness(state, settings.thetaZ1, cxz, cyz)
 
 
@@ -167,6 +192,13 @@ def apply_dephasing(state: TwoQubitState, p1: float, p2: float) -> TwoQubitState
     for name, p in (("p1", p1), ("p2", p2)):
         if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-    mask = (np.where(_QUBIT1_DIFFERS, 1.0 - 2.0 * p1, 1.0)
-            * np.where(_QUBIT2_DIFFERS, 1.0 - 2.0 * p2, 1.0))
-    return TwoQubitState(state.rho * mask)
+    return TwoQubitState(state.rho * _dephasing_factors(p1, p2))
+
+
+def _dephasing_factors(p1, p2) -> np.ndarray:
+    """The elementwise factors of the two phase-flip channels.  Arrays of
+    probabilities give a stack of 4x4 factors along the leading axes."""
+    keep1 = (1.0 - 2.0 * np.asarray(p1))[..., None, None]
+    keep2 = (1.0 - 2.0 * np.asarray(p2))[..., None, None]
+    return (np.where(_QUBIT1_DIFFERS, keep1, 1.0)
+            * np.where(_QUBIT2_DIFFERS, keep2, 1.0))

@@ -1,10 +1,13 @@
 """Constrained parameter-space exploration.
 
 Grid sweeps evaluate phases, the dephased spin state, feasibility and the
-decoherence budget at every point; a deterministic coordinate-descent with
-golden-section line searches refines the best feasible grid point.  Rows are
-emitted in row-major axis order and runs are bit-reproducible.  `evaluate`,
-the one pipeline to the dephased spin state, also serves the CLI `witness`.
+decoherence budget at every point; the phases, the spin states and the
+objective are computed as arrays over the whole grid.  A deterministic
+coordinate-descent with golden-section line searches refines the best
+feasible grid point.  Rows are emitted in row-major axis order and
+runs are bit-reproducible.  `evaluate`, the one scalar pipeline to the
+dephased spin state, serves the CLI `witness` and the line searches, and is
+the oracle every grid row equals bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -173,63 +177,150 @@ def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
 
 def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
                     overrides: dict[str, float]) -> SweepRow:
-    nan = float("nan")
     try:
         cfg = validate(dataclasses.replace(base, **overrides))
     except ConfigError as err:
-        return SweepRow(params=dict(overrides), dPhiLR=nan, dPhiRL=nan,
-                        objective=nan, cpRatio=nan, tauColl=nan,
-                        feasible=False, reason=f"invalid config: {err}")
-
+        return _invalid_row(overrides, err)
     ev = evaluate(cfg, spec.cpRatioMax, spec.requireTauCollOver)
-    reasons = list(ev.report.reasons)
-    tau_coll, obj = nan, nan
-    if ev.dephased is None:
-        msg = f"decoherence regime: {ev.regimeError}"
+    obj = math.nan if ev.dephased is None else _objective_value(spec, ev.dephased)
+    return _row(overrides, ev.phases.dPhiLR, ev.phases.dPhiRL, ev.report,
+                ev.budget, ev.regimeError, obj)
+
+
+def _invalid_row(overrides: dict[str, float], err: ConfigError) -> SweepRow:
+    nan = math.nan
+    return SweepRow(params=dict(overrides), dPhiLR=nan, dPhiRL=nan,
+                    objective=nan, cpRatio=nan, tauColl=nan, feasible=False,
+                    reason=f"invalid config: {err}")
+
+
+def _row(overrides: dict[str, float], dPhiLR: float, dPhiRL: float,
+         report: ConstraintReport, budget: DecoherenceRates | None,
+         regimeError: str, objective: float) -> SweepRow:
+    """The row of a valid configuration.  ``budget`` is None when the
+    decoherence budget is out of its regime; tauColl is then nan."""
+    reasons = list(report.reasons)
+    tau_coll = math.nan
+    if budget is None:
+        msg = f"decoherence regime: {regimeError}"
         if msg not in reasons:
             reasons.append(msg)
     else:
-        tau_coll, obj = ev.budget.tauColl, _objective_value(spec, ev.dephased)
-    return SweepRow(params=dict(overrides), dPhiLR=ev.phases.dPhiLR,
-                    dPhiRL=ev.phases.dPhiRL, objective=obj,
-                    cpRatio=ev.report.cpRatio, tauColl=tau_coll,
-                    feasible=not reasons, reason="; ".join(reasons))
+        tau_coll = budget.tauColl
+    return SweepRow(params=dict(overrides), dPhiLR=dPhiLR, dPhiRL=dPhiRL,
+                    objective=objective, cpRatio=report.cpRatio,
+                    tauColl=tau_coll, feasible=not reasons,
+                    reason="; ".join(reasons))
+
+
+def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
+    """`_evaluate_point` at every grid point, each row equal to the scalar
+    one, with the state arithmetic done on stacks.
+
+    Per point, `validate`, `feasibility_report` and `dephasing_budget` run
+    as in `evaluate`.  Over the valid points, the phases, the noiseless and
+    dephased density matrices and their <XZ>, <YZ> are computed as arrays
+    with the functions `evaluate` uses; each matrix is then checked by
+    `TwoQubitState` as `entangled_state` and `apply_dephasing` would.  A
+    point where the scalar pipeline raises (non-finite phases, p outside
+    [0, 1], an overflow) is handed to `_evaluate_point` in row order, so
+    the sweep raises what the scalar sweep raises.
+    """
+    names = [axis.name for axis in spec.axes]
+    grid = [dict(zip(names, combo)) for combo in
+            itertools.product(*(axis.values().tolist() for axis in spec.axes))]
+    rows: list[SweepRow | None] = [None] * len(grid)
+    stages = {}         # grid index -> (config, report, budget, regime error)
+    for i, overrides in enumerate(grid):
+        try:
+            cfg = validate(dataclasses.replace(base, **overrides))
+        except ConfigError as err:
+            rows[i] = _invalid_row(overrides, err)
+            continue
+        try:
+            report = feasibility_report(cfg, targetRatio=spec.cpRatioMax,
+                                        tauCollFactor=spec.requireTauCollOver)
+            try:
+                stages[i] = (cfg, report, dephasing_budget(cfg), "")
+            except RegimeError as err:
+                stages[i] = (cfg, report, None, str(err))
+        except Exception:       # raised again by `_evaluate_point` below
+            pass
+
+    # the stacked pipeline of `evaluate` over the points that reached it
+    index = list(stages)
+    configs = [stages[i][0] for i in index]
+    p = np.array([0.0 if stages[i][2] is None
+                  else stages[i][2].totalDephasing / 2.0 for i in index])
+    with np.errstate(all="ignore"):
+        phases = static_phases(SimpleNamespace(**{
+            name: np.array([getattr(c, name) for c in configs], dtype=float)
+            for name in FIELD_NAMES}))
+        pure = spinstate._pure_rho(phases.dPhiLR, phases.dPhiRL)
+        dephased = pure * spinstate._dephasing_factors(p, p)
+        correlators = np.stack([
+            spinstate._expectation(dephased, spinstate._PAULI_PRODUCTS[a, "Z"])
+            for a in "XY"], axis=1)
+    # the checks of `entangled_state` and `apply_dephasing`
+    checks_pass = (np.isfinite(phases.dPhiLR) & np.isfinite(phases.dPhiRL)
+                   & (p >= 0.0) & (p <= 1.0)).tolist()
+    slot = {i: j for j, i in enumerate(index)}
+
+    for i, overrides in enumerate(grid):
+        if rows[i] is not None:
+            continue
+        j = slot.get(i)
+        if j is None or not checks_pass[j]:
+            rows[i] = _evaluate_point(base, spec, overrides)
+            continue
+        _, report, budget, regime_error = stages[i]
+        spinstate.TwoQubitState(pure[j])        # as `entangled_state` checks it
+        obj = math.nan
+        if budget is not None:
+            state = spinstate.TwoQubitState(dephased[j])
+            if spec.objective == "negativity":
+                obj = spinstate.negativity(state)
+            else:
+                cxz, cyz = correlators[j].tolist()
+                theta = (spinstate._optimal_theta(cxz, cyz)
+                         if spec.objective == "witnessOptimized" else 0.0)
+                obj = spinstate._rotated_w(theta, cxz, cyz)[0]
+        rows[i] = _row(overrides, float(phases.dPhiLR[j]),
+                       float(phases.dPhiRL[j]), report, budget, regime_error,
+                       obj)
+    return rows
 
 
 def run_sweep(spec: SweepSpec, base_config: ExperimentConfig) -> SweepResult:
     """Evaluate the grid in row-major order of the axes as given.
 
-    Invalid grid points are emitted as infeasible rows, not dropped.
+    Invalid grid points are emitted as infeasible rows, not dropped.  Every
+    row equals `_evaluate_point`'s; see `_grid_rows`.
     """
-    grids = [axis.values() for axis in spec.axes]
-    names = [axis.name for axis in spec.axes]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
-        rows = tuple(
-            _evaluate_point(base_config, spec,
-                            dict(zip(names, (float(v) for v in combo))))
-            for combo in itertools.product(*grids))
-    return SweepResult(spec=spec, rows=rows)
+        rows = _grid_rows(spec, base_config)
+    return SweepResult(spec=spec, rows=tuple(rows))
 
 
 def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
-                 best: tuple[float, dict]) -> tuple[float, dict]:
+                 best: SweepRow) -> SweepRow:
     """Golden-section maximization along one axis through the incumbent
-    ``best`` (log axes searched in log space).  Infeasible points score
-    -inf; returns the best point seen."""
-    params = dict(best[1])
+    row ``best`` (log axes searched in log space).  Infeasible points score
+    -inf; returns the best row seen."""
+    params = dict(best.params)
     to_x = math.log if axis.spacing == "log" else (lambda v: v)
     from_x = math.exp if axis.spacing == "log" else (lambda v: v)
 
     def score(x: float) -> float:
+        nonlocal best
         trial = dict(params)
         trial[axis.name] = from_x(x)
         row = _evaluate_point(base, spec, trial)
         value = row.objective if row.feasible and math.isfinite(row.objective) \
             else -math.inf
-        nonlocal best
-        if value > best[0]:
-            best = (value, trial)
+        if value > best.objective:
+            best = row
         return value
 
     a, b = to_x(axis.min), to_x(axis.max)
@@ -252,23 +343,22 @@ def maximize(spec: SweepSpec,
              base_config: ExperimentConfig) -> tuple[ExperimentConfig, SweepRow]:
     """Best feasible grid point refined by coordinate descent.
 
-    The returned configuration is always feasible and its objective is >=
-    every feasible grid row (the refinement only ever replaces the incumbent
-    with a better feasible point).  Fully deterministic for a fixed spec.
+    Returns the row that set the incumbent, the best feasible grid row or a
+    line-search row that beat it, so its objective is >= every feasible
+    grid row, and its validated configuration.  Fully deterministic for a
+    fixed spec.
     """
     result = run_sweep(spec, base_config)
     feasible = [r for r in result.rows
                 if r.feasible and math.isfinite(r.objective)]
     if not feasible:
         raise ValueError("no feasible grid point to start from")
-    incumbent = max(feasible, key=lambda r: r.objective)
-    best = (incumbent.objective, dict(incumbent.params))
+    best = max(feasible, key=lambda r: r.objective)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
         for _ in range(_ROUNDS):
             for axis in spec.axes:
                 best = _line_search(base_config, spec, axis, best)
-        final_row = _evaluate_point(base_config, spec, best[1])
-        final_config = validate(dataclasses.replace(base_config, **best[1]))
-    return final_config, final_row
+        final_config = validate(dataclasses.replace(base_config, **best.params))
+    return final_config, best

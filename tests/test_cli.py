@@ -301,3 +301,57 @@ def test_out_of_range_option_is_usage_error(capsys, argv, option):
     assert exc.value.code == 2
     assert not out
     assert f"argument {option}" in err
+
+
+DX_WARNING = ("explicit dx=0.00025 m differs from the kinematic value "
+              "0.000232119 m by more than 1%; keeping the explicit dx")
+
+
+def test_config_warning_is_json_data_on_every_call(capsys):
+    # no warnings filter here: each call reports the warning as data
+    for _ in range(3):
+        code = main(["witness", "--paper-defaults"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert json.loads(out)["warnings"] == [DX_WARNING]
+        assert err == ""
+
+
+def test_config_warning_goes_to_stderr_for_csv(capsys):
+    for _ in range(3):
+        code = main(["sweep", "--paper-defaults", "--axis", "tau:0.5:2.5:3",
+                     "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == f"warning: {DX_WARNING}\n"
+        assert out.splitlines()[0].startswith("tau,dPhiLR")
+
+
+def test_only_the_final_config_is_warned_about(tmp_path, capsys):
+    # the overridden dx agrees with the kinematic split: nothing to report
+    code, out, _ = run_cli(capsys, "phases", "--paper-defaults",
+                           "--set", "dx=0.000232119")
+    assert code == 0
+    assert json.loads(out)["warnings"] == []
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dx": None}))
+    code, out, _ = run_cli(capsys, "constraints", "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["warnings"] == []
+    code, out, _ = run_cli(capsys, "defaults")
+    assert "warnings" not in json.loads(out)
+
+
+def test_other_warnings_are_not_configuration_notes(monkeypatch, capsys):
+    import gravwitness.cli as cli
+    validate = cli.validate
+
+    def noisy(config):
+        warnings.warn("unrelated", RuntimeWarning)
+        return validate(config)
+    monkeypatch.setattr(cli, "validate", noisy)
+    with pytest.warns(RuntimeWarning, match="unrelated"):
+        code = main(["phases", "--paper-defaults"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["warnings"] == [DX_WARNING]

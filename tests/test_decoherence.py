@@ -85,6 +85,15 @@ def test_thermal_rates_zero_temperature(paper_config):
     assert thermal_rates(cold) == (0.0, 0.0, 0.0)
 
 
+def test_thermal_rates_vanish_where_kT_underflows(paper_config):
+    # kB * 1e-310 K rounds to 0: no photons, not a division by zero
+    for t_int in (5e-324, 1e-310):
+        faint = dataclasses.replace(paper_config, tInt=t_int)
+        assert thermal_rates(faint)[1] == 0.0
+        assert (dephasing_budget(faint)
+                == dephasing_budget(dataclasses.replace(paper_config, tInt=0.0)))
+
+
 def test_thermal_rates_quadratic_in_split(paper_config):
     wide = dataclasses.replace(paper_config, dx=2 * paper_config.dx)
     for narrow_rate, wide_rate in zip(thermal_rates(paper_config),

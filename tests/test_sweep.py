@@ -1,17 +1,19 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gravwitness.constraints import feasibility_report
-from gravwitness.core import validate
+from gravwitness.core import ConfigConsistencyWarning, load_config, validate
 from gravwitness.gravphase import static_phases
 from gravwitness.spinstate import negativity
-from gravwitness.sweep import (SweepAxis, SweepRow, SweepSpec, evaluate,
-                               maximize, run_sweep)
+from gravwitness.sweep import (OBJECTIVES, SweepAxis, SweepRow, SweepSpec,
+                               _evaluate_point, evaluate, maximize, run_sweep)
 
 from test_spinstate import closed_form_dephased_negativity
 
@@ -237,3 +239,205 @@ def test_maximize_deterministic(quiet_config):
     spec = tau_axis(count=10)
     runs = [maximize(spec, quiet_config) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+# ------------------------------------------------- batched grid vs scalar
+
+# axis name -> (min, max) for linear axes; log axes use the positive part
+_AXIS_RANGES = {
+    "tau": (0.05, 12.0),
+    "dx": (1e-9, 6e-4),         # collisional guard below ~2e-8; dx >= d, contact
+    "d": (1e-4, 1e-3),
+    "pressure": (0.0, 1e-11),   # pressure = 0 is an invalid row
+    "tEnv": (1e-7, 300.0),      # collisional guard when cold, thermal when hot
+    "tInt": (0.0, 30.0),        # tInt = 0 switches emission off
+    "tauAcc": (1e-3, 1.0),      # with dx=None: kinematic dx from 4e-10 m up
+    "m1": (1e-15, 1e-13),
+    "radius": (1e-7, 5e-6),
+}
+
+
+@st.composite
+def grids(draw, max_count=4):
+    names = draw(st.lists(st.sampled_from(sorted(_AXIS_RANGES)), min_size=1,
+                          max_size=4, unique=True))
+    axes = []
+    for name in names:
+        lo, hi = _AXIS_RANGES[name]
+        spacing = draw(st.sampled_from(("linear", "log")))
+        if spacing == "log":
+            lo = max(lo, hi * 1e-8)
+            a, b = sorted(10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+                          for _ in range(2))
+        else:
+            a, b = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+            if draw(st.booleans()):
+                a = lo
+        assume(a < b)
+        axes.append(SweepAxis(name, a, b, draw(st.integers(2, max_count)),
+                              spacing))
+    return SweepSpec(axes=tuple(axes),
+                     objective=draw(st.sampled_from(OBJECTIVES)),
+                     cpRatioMax=10.0 ** draw(st.floats(-2.0, 1.0)),
+                     requireTauCollOver=draw(st.floats(1.0, 3.0)))
+
+
+def _kinematic_unequal(paper_config):
+    return dataclasses.replace(paper_config, dx=None, m2=2e-14)
+
+
+def _scalar_rows(spec, base):
+    names = [a.name for a in spec.axes]
+    return [_evaluate_point(base, spec, dict(zip(names, map(float, combo))))
+            for combo in itertools.product(*(a.values() for a in spec.axes))]
+
+
+@given(spec=grids(), kinematic=st.booleans())
+@example(spec=SweepSpec(axes=(SweepAxis("pressure", 0.0, 2e-15, 3),
+                              SweepAxis("tInt", 0.0, 20.0, 3),
+                              SweepAxis("dx", 1e-9, 5.9867e-4, 5),
+                              SweepAxis("tEnv", 1e-6, 50.0, 4, "log")),
+                        objective="witnessOptimized"),
+         kinematic=False)
+@example(spec=SweepSpec(axes=(SweepAxis("tauAcc", 1e-3, 0.6, 4, "log"),
+                              SweepAxis("m1", 5e-15, 2e-14, 3),
+                              SweepAxis("tInt", 0.0, 10.0, 3))),
+         kinematic=True)
+@settings(max_examples=60, deadline=None)
+def test_sweep_rows_equal_scalar_rows_bitwise(paper_config, spec, kinematic):
+    base = _kinematic_unequal(paper_config) if kinematic else paper_config
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigConsistencyWarning)
+        expected = _scalar_rows(spec, base)
+    rows = run_sweep(spec, base).rows
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        # repr round-trips every float (-0.0 and nan included) and shows
+        # a numpy scalar where a Python float belongs
+        assert repr(row) == repr(want)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_sweep_rows_equal_scalar_rows_on_a_dense_grid(paper_config, objective):
+    # enough rows that a last-bit slip in exp, pow or an inversion shows
+    spec = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 8),
+                           SweepAxis("dx", 1e-4, 5.5e-4, 6),
+                           SweepAxis("pressure", 1e-17, 1e-12, 5, "log"),
+                           SweepAxis("tEnv", 0.05, 20.0, 4, "log")),
+                     objective=objective)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigConsistencyWarning)
+        expected = _scalar_rows(spec, paper_config)
+    assert [repr(r) for r in run_sweep(spec, paper_config).rows] == \
+        [repr(r) for r in expected]
+
+
+def test_sweep_rows_cover_every_kind(paper_config):
+    # the explicit examples above reach each kind of row
+    spec = SweepSpec(axes=(SweepAxis("pressure", 0.0, 2e-15, 3),
+                           SweepAxis("tInt", 0.0, 20.0, 3),
+                           SweepAxis("dx", 1e-9, 5.9867e-4, 5),
+                           SweepAxis("tEnv", 1e-6, 50.0, 4, "log")))
+    reasons = [row.reason for row in run_sweep(spec, paper_config).rows]
+    assert any(r.startswith("invalid config: pressure") for r in reasons)
+    assert any("dx < d violated" in r for r in reasons)
+    assert any("d - dx > 2*radius violated" in r for r in reasons)
+    assert any("saturated collisional regime" in r for r in reasons)
+    assert any("long-wavelength photon regime" in r for r in reasons)
+    assert any(r.startswith("cpRatio") for r in reasons)
+    assert "" in reasons
+
+
+@given(spec=grids(max_count=3), kinematic=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_maximize_dominates_the_grid(paper_config, spec, kinematic):
+    base = _kinematic_unequal(paper_config) if kinematic else paper_config
+    feasible = [r.objective for r in run_sweep(spec, base).rows
+                if r.feasible and math.isfinite(r.objective)]
+    if not feasible:
+        with pytest.raises(ValueError, match="feasible"):
+            maximize(spec, base)
+        return
+    best_config, best_row = maximize(spec, base)
+    assert best_row.feasible
+    assert best_row.objective >= max(feasible)
+    assert best_config == validate(dataclasses.replace(base, **best_row.params))
+
+
+def _dephased_negativities(spec, base):
+    rows = run_sweep(spec, base).rows
+    assert len({(r.dPhiLR, r.dPhiRL) for r in rows}) == 1     # fixed phases
+    return [r.objective for r in rows if "decoherence regime" not in r.reason]
+
+
+@given(tau=st.floats(0.5, 8.0), pressure=st.floats(-18.0, -12.0),
+       hi=st.floats(0.5, 30.0))
+@settings(max_examples=40, deadline=None)
+def test_dephased_negativity_never_increases_with_tint(paper_config, tau,
+                                                      pressure, hi):
+    base = dataclasses.replace(paper_config, tau=tau, pressure=10.0 ** pressure)
+    values = _dephased_negativities(
+        SweepSpec(axes=(SweepAxis("tInt", 0.0, hi, 12),)), base)
+    assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+
+@given(tau=st.floats(0.5, 8.0), pressure=st.floats(-45.0, -40.0),
+       lo=st.floats(-4.0, -0.5), hi=st.floats(0.0, 1.5))
+@settings(max_examples=40, deadline=None)
+def test_dephased_negativity_never_increases_with_tenv(paper_config, tau,
+                                                      pressure, lo, hi):
+    # Without the gas: below 1e-40 Pa its collision rate (< 1e-26 /s) is
+    # under the rounding of the photon-emission rate at tInt = 0.15 K.  At
+    # fixed pressure a warmer gas is thinner; see the next test.
+    base = dataclasses.replace(paper_config, tau=tau, pressure=10.0 ** pressure)
+    values = _dephased_negativities(
+        SweepSpec(axes=(SweepAxis("tEnv", 10.0 ** lo, 10.0 ** hi, 12, "log"),)),
+        base)
+    assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+
+def test_warmer_gas_at_fixed_pressure_decoheres_less(paper_config):
+    # collisions scale as n vbar ~ P / sqrt(tEnv): at 1e-15 Pa, warming from
+    # 0.1 K to 0.2 K lowers the collision rate more than it raises the
+    # thermal-photon rates, and entanglement comes back
+    spec = SweepSpec(axes=(SweepAxis("tEnv", 0.1, 0.2, 2),))
+    cold, warm = run_sweep(spec, paper_config).rows
+    assert cold.objective == 0.0 < warm.objective
+    assert warm.tauColl > cold.tauColl
+
+
+def test_sweep_from_a_json_config_with_integer_fields(tmp_path, paper_config):
+    # a hand-written config file holds ints where floats are meant
+    path = tmp_path / "cfg.json"
+    path.write_text('{"tau": 2, "tauAcc": 1, "dBdx": 250000, "tInt": 0, '
+                    '"epsRel": 6, "dx": null}')
+    base = load_config(path)
+    assert type(base.tau) is int and type(base.tauAcc) is int
+    for objective in OBJECTIVES:
+        spec = SweepSpec(axes=(SweepAxis("tEnv", 0.05, 2.0, 4, "log"),
+                               SweepAxis("d", 4e-4, 1.2e-3, 5)),
+                         objective=objective)
+        rows = run_sweep(spec, base).rows
+        assert [repr(r) for r in rows] == \
+            [repr(r) for r in _scalar_rows(spec, base)]
+        assert any(r.feasible for r in rows)
+
+
+@pytest.mark.parametrize("axis, fields, error", [
+    # the second row's phases overflow to inf - inf
+    (SweepAxis("tau", 1.0, 1.7e308, 2), dict(m1=1e-12, m2=1e-12),
+     "phases must be finite"),
+    # radius**6 / r**7 overflows in the Casimir-Polder ratio
+    (SweepAxis("d", 1e46, 2e46, 2), dict(radius=1e45), "out of range"),
+    # the first row fails on its phases before the second one overflows
+    (SweepAxis("d", 4.5e-4, 1e46, 2), dict(m1=1e-12, m2=1e-12, tau=1.7e308),
+     "phases must be finite"),
+])
+def test_sweep_raises_what_the_scalar_path_raises(paper_config, axis, fields,
+                                                  error):
+    base = dataclasses.replace(paper_config, **fields)
+    spec = SweepSpec(axes=(axis,))
+    with pytest.raises((ValueError, OverflowError), match=error) as scalar:
+        _scalar_rows(spec, base)
+    with pytest.raises(scalar.type, match=error):
+        run_sweep(spec, base)
