@@ -36,16 +36,15 @@ class CliUsageError(Exception):
 def _flat_items(obj, prefix=""):
     """Depth-first (key, scalar) pairs with dotted paths."""
     if isinstance(obj, dict):
-        out = []
-        for key, value in obj.items():
-            out.extend(_flat_items(value, f"{prefix}{key}."))
-        return out
-    if isinstance(obj, (list, tuple)):
-        out = []
-        for i, value in enumerate(obj):
-            out.extend(_flat_items(value, f"{prefix}{i}."))
-        return out
-    return [(prefix[:-1], obj)]
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return [(prefix[:-1], obj)]
+    out = []
+    for key, value in items:
+        out.extend(_flat_items(value, f"{prefix}{key}."))
+    return out
 
 
 def _fmt_scalar(value, sig=12):
@@ -60,10 +59,9 @@ def render_payload(payload, fmt: str) -> str:
     """One serialization layer shared by every subcommand."""
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
-    rows = payload if isinstance(payload, list) else None
-    if rows is not None:
-        header = list(rows[0].keys()) if rows else []
-        table = [[_fmt_scalar(r.get(k, "")) for k in header] for r in rows]
+    if isinstance(payload, list):
+        header = list(payload[0].keys()) if payload else []
+        table = [[_fmt_scalar(r.get(k, "")) for k in header] for r in payload]
     else:
         flat = _flat_items(payload)
         header = ["key", "value"]
@@ -185,9 +183,7 @@ def _cmd_witness(args, cfg):
 def _cmd_constraints(args, cfg):
     report = constraints_mod.feasibility_report(
         cfg, targetRatio=args.target_ratio, bResidual=args.b_residual)
-    payload = dataclasses.asdict(report)
-    payload["reasons"] = list(report.reasons)
-    return payload
+    return dataclasses.asdict(report)       # render_payload lists tuples
 
 
 def _cmd_decoherence(args, cfg):
@@ -250,6 +246,12 @@ def _parse_axis(text: str) -> sweep_mod.SweepAxis:
         raise CliUsageError(f"--axis {text!r}: {err}") from None
 
 
+def _sweep_row(row: sweep_mod.SweepRow) -> dict:
+    return {**row.params, "dPhiLR": row.dPhiLR, "dPhiRL": row.dPhiRL,
+            "objective": row.objective, "cpRatio": row.cpRatio,
+            "tauColl": row.tauColl, "feasible": row.feasible}
+
+
 def _cmd_sweep(args, cfg):
     if not args.axis:
         raise CliUsageError("sweep needs at least one --axis")
@@ -265,22 +267,11 @@ def _cmd_sweep(args, cfg):
         return {
             "bestParams": best_row.params,
             "objective": best_row.objective,
-            "row": {**best_row.params, "dPhiLR": best_row.dPhiLR,
-                    "dPhiRL": best_row.dPhiRL, "objective": best_row.objective,
-                    "cpRatio": best_row.cpRatio, "tauColl": best_row.tauColl,
-                    "feasible": best_row.feasible},
+            "row": _sweep_row(best_row),
             "config": config_to_dict(best_config),
         }
-    result = sweep_mod.run_sweep(spec, cfg)
-    if args.format == "csv":
-        return result
-    return [
-        {**{a.name: row.params[a.name] for a in spec.axes},
-         "dPhiLR": row.dPhiLR, "dPhiRL": row.dPhiRL, "objective": row.objective,
-         "cpRatio": row.cpRatio, "tauColl": row.tauColl,
-         "feasible": row.feasible, "reason": row.reason}
-        for row in result.rows
-    ]
+    return [{**_sweep_row(row), "reason": row.reason}
+            for row in sweep_mod.run_sweep(spec, cfg).rows]
 
 
 # -------------------------------------------------------------------- main
@@ -388,7 +379,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (RegimeError, ValueError) as err:
+    except (RegimeError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
@@ -398,10 +389,7 @@ def main(argv=None) -> int:
     else:
         for note in notes or ():
             print(f"warning: {note}", file=sys.stderr)
-    if isinstance(payload, sweep_mod.SweepResult):
-        text = payload.to_csv()
-    else:
-        text = render_payload(payload, args.format)
+    text = render_payload(payload, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -25,10 +25,6 @@ class ConstraintReport:
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _dielectric_factor(epsRel: float) -> float:
-    return ((epsRel - 1.0) / (epsRel + 2.0)) ** 2
-
-
 def casimir_polder_potential(config: ExperimentConfig, r: float) -> float:
     """|V_CP(r)| = 23 hbar c R^6 ((eps-1)/(eps+2))^2 / (4 pi r^7).
 
@@ -41,7 +37,7 @@ def casimir_polder_potential(config: ExperimentConfig, r: float) -> float:
             f"spheres overlap: separation {r!r} m <= 2*radius {2 * config.radius!r} m"
         )
     return (23.0 * CONSTANTS.hbar * CONSTANTS.c * config.radius**6
-            * _dielectric_factor(config.epsRel) / (4.0 * math.pi * r**7))
+            * decoherence.dielectric_factor(config.epsRel) / (4.0 * math.pi * r**7))
 
 
 def gravitational_potential(config: ExperimentConfig, r: float) -> float:

@@ -147,7 +147,11 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
 
     from .gravphase import superposition_size
 
-    dx_kinematic = superposition_size(config.dBdx, config.tauAcc, config.m1)
+    try:
+        dx_kinematic = superposition_size(config.dBdx, config.tauAcc, config.m1)
+    except OverflowError:
+        raise ConfigError(f"kinematic dx overflows: dBdx={config.dBdx!r}, "
+                          f"tauAcc={config.tauAcc!r}, m1={config.m1!r}") from None
     dx = config.dx
     if dx is None:
         if config.m1 != config.m2:
@@ -199,11 +203,6 @@ def config_from_dict(data: dict, base: ExperimentConfig | None = None) -> Experi
     unknown = sorted(set(data) - set(FIELD_NAMES))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        if key == "dx" and value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key} must be a number, got {value!r}")
     base = paper_defaults() if base is None else base
     return validate(dataclasses.replace(base, **data))
 

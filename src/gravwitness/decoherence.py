@@ -51,9 +51,9 @@ def gas_density(pressure: float, tEnv: float) -> float:
 
 
 def gas_de_broglie_wavelength(config: ExperimentConfig) -> float:
-    """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) of the gas."""
-    return (2.0 * math.pi * CONSTANTS.hbar
-            / math.sqrt(2.0 * math.pi * config.mGas * CONSTANTS.kB * config.tEnv))
+    """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) of the gas, or inf."""
+    mkt = 2.0 * math.pi * config.mGas * CONSTANTS.kB * config.tEnv
+    return math.inf if mkt == 0.0 else 2.0 * math.pi * CONSTANTS.hbar / math.sqrt(mkt)
 
 
 def collisional_time(config: ExperimentConfig) -> float:
@@ -74,6 +74,11 @@ def collisional_time(config: ExperimentConfig) -> float:
     return math.inf if gamma == 0.0 else 1.0 / gamma
 
 
+def dielectric_factor(epsRel: float) -> float:
+    """F(eps) of the photon rates above and of the Casimir-Polder potential."""
+    return ((epsRel - 1.0) / (epsRel + 2.0)) ** 2
+
+
 def thermal_wavelength(temperature: float) -> float:
     """Dominant thermal photon wavelength 2 pi hbar c / (kB T)."""
     return 2.0 * math.pi * CONSTANTS.hbar * CONSTANTS.c / (CONSTANTS.kB * temperature)
@@ -82,10 +87,12 @@ def thermal_wavelength(temperature: float) -> float:
 def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
     """(scattering, emission, absorption) localization rates at the
     superposition size dx, long-wavelength regime."""
-    dielec = ((config.epsRel - 1.0) / (config.epsRel + 2.0)) ** 2
+    dielec = dielectric_factor(config.epsRel)
     hc = CONSTANTS.hbar * CONSTANTS.c
     rates = []
-    for temp, kind in ((config.tEnv, "sc"), (config.tInt, "em"), (config.tEnv, "abs")):
+    for temp, coeff, r_pow, kt_pow in ((config.tEnv, _C_SCATTER, 6, 9),
+                                       (config.tInt, _C_PLANCK, 3, 6),
+                                       (config.tEnv, _C_PLANCK, 3, 6)):
         if CONSTANTS.kB * temp == 0.0:     # no photons; also where kB T underflows
             rates.append(0.0)
             continue
@@ -95,10 +102,7 @@ def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
                 f"dx={config.dx:g} m vs {thermal_wavelength(temp):g} m at {temp:g} K"
             )
         kt = CONSTANTS.kB * temp / hc
-        if kind == "sc":
-            lam = _C_SCATTER * CONSTANTS.c * config.radius**6 * kt**9 * dielec
-        else:
-            lam = _C_PLANCK * CONSTANTS.c * config.radius**3 * kt**6 * dielec
+        lam = coeff * CONSTANTS.c * config.radius**r_pow * kt**kt_pow * dielec
         rates.append(lam * config.dx**2)
     return tuple(rates)
 

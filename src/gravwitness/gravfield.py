@@ -143,10 +143,13 @@ def _branches(modes: FieldModeSet, config: ExperimentConfig, t: float,
     c1 = _effective_couplings(modes, config.m1) / omega
     c2 = _effective_couplings(modes, config.m2) / omega
     ring = np.exp(1j * omega * t) - 1.0
-    waves = {x: np.exp(1j * k * x) for pos in positions.values() for x in pos}
+    xs = {x for pos in positions.values() for x in pos}
+    waves = {x: np.exp(1j * k * x) for x in xs}
+    separations = {abs(x2 - x1) for x1, x2 in positions.values()}
+    phases = {r: branch_phase(modes, config, r, t) for r in separations}
     return {b: BranchDisplacements(
                 modes=modes, alpha=(c1 * waves[x1] + c2 * waves[x2]) * ring,
-                branchPhase=branch_phase(modes, config, abs(x2 - x1), t))
+                branchPhase=phases[abs(x2 - x1)])
             for b, (x1, x2) in positions.items()}
 
 
@@ -168,8 +171,7 @@ def branch_overlap(dA: BranchDisplacements, dB: BranchDisplacements) -> complex:
     |<a|b>| = exp(-|a-b|^2/2); the phase is sum Im(conj(a) b).  Magnitude is
     in (0, 1], and 1 exactly for identical branches.
     """
-    if dA.modes.kGrid.shape != dB.modes.kGrid.shape or \
-            not np.array_equal(dA.modes.kGrid, dB.modes.kGrid):
+    if not np.array_equal(dA.modes.kGrid, dB.modes.kGrid):
         raise ValueError("branch displacements built on mismatched mode grids")
     diff2 = float(np.sum(np.abs(dA.alpha - dB.alpha) ** 2))
     # Im(conj(a) b) written so identical branches give exactly zero phase

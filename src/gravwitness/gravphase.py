@@ -135,12 +135,10 @@ def dynamic_phases(config: ExperimentConfig, nSteps: int = 2000) -> PhaseSet:
     if config.tauAcc > 0:
         t = np.linspace(0.0, config.tauAcc, nSteps + 1)
         u = _split_profile(t / config.tauAcc)
-        stage = {
-            "LL": trapezoid(np.full_like(t, 1.0 / d), t),
-            "RR": trapezoid(np.full_like(t, 1.0 / d), t),
-            "LR": trapezoid(1.0 / (d + dx * u), t),
-            "RL": trapezoid(1.0 / (d - dx * u), t),
-        }
+        steady = trapezoid(np.full_like(t, 1.0 / d), t)    # LL and RR
+        stage = {"LL": steady, "RR": steady,
+                 "LR": trapezoid(1.0 / (d + dx * u), t),
+                 "RL": trapezoid(1.0 / (d - dx * u), t)}
     else:
         stage = {b: 0.0 for b in BRANCHES}
 

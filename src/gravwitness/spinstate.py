@@ -136,8 +136,11 @@ def witness(state: TwoQubitState, settings: WitnessSettings | None = None) -> Wi
     the unrotated state is reported alongside as the exact criterion.
     """
     settings = WitnessSettings() if settings is None else settings
-    return _witness(state, settings.thetaZ1,
-                    expectation(state, "X", "Z"), expectation(state, "Y", "Z"))
+    w, exz, eyz = _rotated_w(settings.thetaZ1, expectation(state, "X", "Z"),
+                             expectation(state, "Y", "Z"))
+    neg = negativity(state)
+    return WitnessResult(w=w, expXZ=exz, expYZ=eyz, negativity=neg,
+                         entangledByNegativity=neg > 1e-9)
 
 
 def _rotated_w(theta1: float, cxz: float, cyz: float) -> tuple[float, float, float]:
@@ -157,19 +160,6 @@ def _optimal_theta(cxz: float, cyz: float) -> float:
     return math.atan2(-(cxz + cyz), cxz - cyz) + 0.0
 
 
-def _witness(state: TwoQubitState, theta1: float, cxz: float,
-             cyz: float) -> WitnessResult:
-    w, exz, eyz = _rotated_w(theta1, cxz, cyz)
-    neg = negativity(state)
-    return WitnessResult(
-        w=w,
-        expXZ=exz,
-        expYZ=eyz,
-        negativity=neg,
-        entangledByNegativity=neg > 1e-9,
-    )
-
-
 def optimize_witness(state: TwoQubitState) -> tuple[WitnessSettings, WitnessResult]:
     """Maximize W over the local z-rotation angles, in closed form.
 
@@ -178,10 +168,9 @@ def optimize_witness(state: TwoQubitState) -> tuple[WitnessSettings, WitnessResu
     theta1 = atan2(-B, A).  theta2 is degenerate and returned as 0.  The
     returned W is >= the W of any angles, up to rounding.
     """
-    cxz = expectation(state, "X", "Z")
-    cyz = expectation(state, "Y", "Z")
-    settings = WitnessSettings(thetaZ1=_optimal_theta(cxz, cyz))
-    return settings, _witness(state, settings.thetaZ1, cxz, cyz)
+    settings = WitnessSettings(thetaZ1=_optimal_theta(
+        expectation(state, "X", "Z"), expectation(state, "Y", "Z")))
+    return settings, witness(state, settings)
 
 
 def apply_dephasing(state: TwoQubitState, p1: float, p2: float) -> TwoQubitState:

@@ -129,12 +129,14 @@ class SweepResult:
             fh.write(self.to_csv())
 
 
-def _objective_value(spec: SweepSpec, state: spinstate.TwoQubitState) -> float:
-    if spec.objective == "negativity":
+def _objective_value(objective: str, state: spinstate.TwoQubitState,
+                     cxz: float, cyz: float) -> float:
+    """The sweep objective of a dephased state with unrotated <XZ>, <YZ>."""
+    if objective == "negativity":
         return spinstate.negativity(state)
-    if spec.objective == "witness":
-        return spinstate.witness(state).w
-    return spinstate.optimize_witness(state)[1].w
+    theta = (spinstate._optimal_theta(cxz, cyz)
+             if objective == "witnessOptimized" else 0.0)
+    return spinstate._rotated_w(theta, cxz, cyz)[0]
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,9 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
     except ConfigError as err:
         return _invalid_row(overrides, err)
     ev = evaluate(cfg, spec.cpRatioMax, spec.requireTauCollOver)
-    obj = math.nan if ev.dephased is None else _objective_value(spec, ev.dephased)
+    obj = math.nan if ev.dephased is None else _objective_value(
+        spec.objective, ev.dephased,
+        *(spinstate.expectation(ev.dephased, a, "Z") for a in "XY"))
     return _row(overrides, ev.phases.dPhiLR, ev.phases.dPhiRL, ev.report,
                 ev.budget, ev.regimeError, obj)
 
@@ -277,14 +281,9 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
         spinstate.TwoQubitState(pure[j])        # as `entangled_state` checks it
         obj = math.nan
         if budget is not None:
-            state = spinstate.TwoQubitState(dephased[j])
-            if spec.objective == "negativity":
-                obj = spinstate.negativity(state)
-            else:
-                cxz, cyz = correlators[j].tolist()
-                theta = (spinstate._optimal_theta(cxz, cyz)
-                         if spec.objective == "witnessOptimized" else 0.0)
-                obj = spinstate._rotated_w(theta, cxz, cyz)[0]
+            obj = _objective_value(spec.objective,
+                                   spinstate.TwoQubitState(dephased[j]),
+                                   *correlators[j].tolist())
         rows[i] = _row(overrides, float(phases.dPhiLR[j]),
                        float(phases.dPhiRL[j]), report, budget, regime_error,
                        obj)
@@ -355,10 +354,14 @@ def maximize(spec: SweepSpec,
         raise ValueError("no feasible grid point to start from")
     best = max(feasible, key=lambda r: r.objective)
 
+    # a line search through the row it last returned would return it again
+    searched = {}       # axis name -> the row its last line search returned
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
         for _ in range(_ROUNDS):
             for axis in spec.axes:
-                best = _line_search(base_config, spec, axis, best)
+                if searched.get(axis.name) is not best:
+                    best = searched[axis.name] = _line_search(
+                        base_config, spec, axis, best)
         final_config = validate(dataclasses.replace(base_config, **best.params))
     return final_config, best

@@ -5,9 +5,11 @@ import pytest
 
 from gravwitness import gravfield
 from gravwitness.cli import build_parser, main
-from gravwitness.core import ConfigConsistencyWarning, config_from_dict
+from gravwitness.core import (ConfigConsistencyWarning, config_from_dict,
+                              paper_defaults, validate)
 from gravwitness.gravphase import BRANCHES
 from gravwitness.spinstate import negativity
+from gravwitness.sweep import SweepAxis, SweepSpec, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +131,47 @@ def test_sweep_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "tau,dPhiLR,dPhiRL,objective,cpRatio,tauColl,feasible,reason"
     assert len(lines) == 6
+
+
+def test_sweep_csv_is_the_library_csv(capsys):
+    # the 48-row grid of the CI smoke test: invalid, regime-error,
+    # infeasible and feasible rows
+    code, out, _ = run_cli(capsys, "sweep", "--paper-defaults",
+                           "--axis", "tau:0.5:8:4", "--axis", "dx:1e-4:5.5e-4:4",
+                           "--axis", "tEnv:0.05:20:3:log",
+                           "--objective", "witnessOptimized", "--format", "csv")
+    spec = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 4),
+                           SweepAxis("dx", 1e-4, 5.5e-4, 4),
+                           SweepAxis("tEnv", 0.05, 20.0, 3, "log")),
+                     objective="witnessOptimized")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigConsistencyWarning)
+        expected = run_sweep(spec, validate(paper_defaults())).to_csv()
+    assert code == 0
+    assert out == expected
+    assert out.count("\n") == 49
+
+
+@pytest.mark.parametrize("sets, code, message", [
+    # m kB T underflows: the gas de Broglie wavelength is inf, which the
+    # collisional regime guard reports as data
+    (("tEnv=1e-300",), 0, ""),
+    # tauAcc**2 overflows in the kinematic split
+    (("tauAcc=1e155",), 2, "error: kinematic dx overflows: dBdx="),
+    # radius**6 / r**7 overflows in the Casimir-Polder ratio
+    (("d=1e46", "radius=1e45"), 1, "error: "),
+])
+def test_arithmetic_failures_are_named_errors(capsys, sets, code, message):
+    argv = ["witness", "--paper-defaults"]
+    for item in sets:
+        argv += ["--set", item]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert err.startswith(message)
+    if code == 0:
+        assert "gas de Broglie" in json.loads(out)["dephasingRegimeError"]
+    else:
+        assert out == ""
 
 
 def test_sweep_malformed_axis_no_partial_output(tmp_path, capsys):

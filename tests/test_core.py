@@ -139,6 +139,20 @@ def test_config_from_dict_rejects_non_numbers():
         config_from_dict({"tau": True})
 
 
+@pytest.mark.parametrize("value", ["2.5", True, None, [2.5]])
+def test_load_config_rejects_non_numbers(tmp_path, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tau": value}))
+    with pytest.raises(ConfigError, match="^tau must be a finite number"):
+        load_config(path)
+
+
+def test_kinematic_dx_overflow_is_a_config_error():
+    cfg = dataclasses.replace(paper_defaults(), tauAcc=1e155)
+    with pytest.raises(ConfigError, match="dBdx=.*tauAcc=1e\\+155.*m1="):
+        validate(cfg)
+
+
 def test_config_from_dict_partial_overrides(paper_config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigConsistencyWarning)

@@ -67,6 +67,14 @@ def test_collisional_regime_guard(paper_config):
         collisional_time(cfg)
 
 
+def test_gas_wavelength_is_infinite_where_mkT_underflows(paper_config):
+    # 2 pi m kB * 1e-300 K rounds to 0: the collisional guard names it
+    cold = dataclasses.replace(paper_config, tEnv=1e-300)
+    assert gas_de_broglie_wavelength(cold) == math.inf
+    with pytest.raises(RegimeError, match="de Broglie"):
+        collisional_time(cold)
+
+
 def test_thermal_rates_reference_values(paper_config):
     g_sc, g_em, g_abs = thermal_rates(paper_config)
     assert g_sc == pytest.approx(GAMMA_SC_REF, rel=1e-9)

@@ -201,6 +201,14 @@ def test_optimize_witness_exceeds_default(paper_config):
     assert optimized.w >= witness(state).w - 1e-12
 
 
+@given(a=st.floats(-10, 10), b=st.floats(-10, 10), p=st.floats(0, 1))
+@settings(max_examples=50, deadline=None)
+def test_optimize_witness_is_witness_at_its_angle(a, b, p):
+    state = apply_dephasing(entangled_state(a, b), p, p)
+    settings_, optimized = optimize_witness(state)
+    assert optimized == witness(state, settings_)
+
+
 def test_witness_rotation_convention():
     # rotating the state by Rz(t) on qubit 1 maps the correlators as
     # <sx sz> -> cos(t)<sx sz> - sin(t)<sy sz> (and y picks up +sin(t) x);

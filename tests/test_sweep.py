@@ -13,7 +13,8 @@ from gravwitness.core import ConfigConsistencyWarning, load_config, validate
 from gravwitness.gravphase import static_phases
 from gravwitness.spinstate import negativity
 from gravwitness.sweep import (OBJECTIVES, SweepAxis, SweepRow, SweepSpec,
-                               _evaluate_point, evaluate, maximize, run_sweep)
+                               _evaluate_point, _line_search, evaluate,
+                               maximize, run_sweep)
 
 from test_spinstate import closed_form_dephased_negativity
 
@@ -364,6 +365,37 @@ def test_maximize_dominates_the_grid(paper_config, spec, kinematic):
     assert best_config == validate(dataclasses.replace(base, **best_row.params))
 
 
+def _maximize_every_round(spec, base):
+    """`maximize` as written before it skipped repeated line searches:
+    three full rounds of a line search along every axis."""
+    best = max((r for r in run_sweep(spec, base).rows
+                if r.feasible and math.isfinite(r.objective)),
+               key=lambda r: r.objective)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigConsistencyWarning)
+        for _ in range(3):
+            for axis in spec.axes:
+                best = _line_search(base, spec, axis, best)
+        return validate(dataclasses.replace(base, **best.params)), best
+
+
+@given(spec=grids(max_count=3), kinematic=st.booleans())
+# the second round improves on the first here
+@example(spec=SweepSpec(axes=(SweepAxis("d", 1e-4, 9e-4, 2),
+                              SweepAxis("radius", 1e-7, 1e-6, 2, "log"),
+                              SweepAxis("m1", 1e-14, 1e-13, 2, "log"),
+                              SweepAxis("tau", 1.0, 2.0, 2)),
+                        cpRatioMax=1.0),
+         kinematic=False)
+@settings(max_examples=25, deadline=None)
+def test_maximize_skips_only_searches_that_repeat(paper_config, spec,
+                                                  kinematic):
+    base = _kinematic_unequal(paper_config) if kinematic else paper_config
+    assume(any(r.feasible and math.isfinite(r.objective)
+               for r in run_sweep(spec, base).rows))
+    assert repr(maximize(spec, base)) == repr(_maximize_every_round(spec, base))
+
+
 def _dephased_negativities(spec, base):
     rows = run_sweep(spec, base).rows
     assert len({(r.dPhiLR, r.dPhiRL) for r in rows}) == 1     # fixed phases
@@ -432,6 +464,9 @@ def test_sweep_from_a_json_config_with_integer_fields(tmp_path, paper_config):
     # the first row fails on its phases before the second one overflows
     (SweepAxis("d", 4.5e-4, 1e46, 2), dict(m1=1e-12, m2=1e-12, tau=1.7e308),
      "phases must be finite"),
+    # the second row's kinematic dx overflows in tauAcc**2, an invalid row
+    (SweepAxis("tauAcc", 0.5, 1e155, 2),
+     dict(m1=1e-12, m2=1e-12, tau=1.7e308), "phases must be finite"),
 ])
 def test_sweep_raises_what_the_scalar_path_raises(paper_config, axis, fields,
                                                   error):
