@@ -105,8 +105,12 @@ def _finite_number(value) -> bool:
     # bool is an int subclass, but True and False are not quantities
     if type(value) is float:
         return math.isfinite(value)
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int beyond the float range
+        return False
 
 
 def _positive(name, value, problems):

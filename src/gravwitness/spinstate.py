@@ -87,9 +87,13 @@ class WitnessResult:
 
 def entangled_state(dPhiLR: float, dPhiRL: float) -> TwoQubitState:
     """Pure state with amplitudes (1, e^{i dPhiLR}, e^{i dPhiRL}, 1)/2."""
+    _check_phases(dPhiLR, dPhiRL)
+    return TwoQubitState(_pure_rho(dPhiLR, dPhiRL))
+
+
+def _check_phases(dPhiLR: float, dPhiRL: float) -> None:
     if not (math.isfinite(dPhiLR) and math.isfinite(dPhiRL)):
         raise ValueError("phases must be finite")
-    return TwoQubitState(_pure_rho(dPhiLR, dPhiRL))
 
 
 def _pure_rho(dPhiLR, dPhiRL) -> np.ndarray:
@@ -109,12 +113,7 @@ def expectation(state: TwoQubitState, pauli1: str, pauli2: str) -> float:
     except (KeyError, AttributeError):
         raise ValueError(f"invalid Pauli index pair ({pauli1!r}, {pauli2!r}); "
                          "expected I, X, Y or Z") from None
-    return float(_expectation(state.rho, product))
-
-
-def _expectation(rho: np.ndarray, product: np.ndarray):
-    """Re Tr(rho P) of a density matrix or of each one of a stack."""
-    return np.real(np.trace(rho @ product, axis1=-2, axis2=-1))
+    return float(np.real(np.trace(state.rho @ product)))
 
 
 def negativity(state: TwoQubitState) -> float:
@@ -178,10 +177,14 @@ def apply_dephasing(state: TwoQubitState, p1: float, p2: float) -> TwoQubitState
     {sqrt(1-p_j) I, sqrt(p_j) sigma_z}.  Applied elementwise: entries of rho
     whose qubit-j index differs between row and column scale by (1 - 2 p_j),
     populations are untouched, and negativity never increases."""
+    _check_probabilities(p1, p2)
+    return TwoQubitState(state.rho * _dephasing_factors(p1, p2))
+
+
+def _check_probabilities(p1: float, p2: float) -> None:
     for name, p in (("p1", p1), ("p2", p2)):
         if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-    return TwoQubitState(state.rho * _dephasing_factors(p1, p2))
 
 
 def _dephasing_factors(p1, p2) -> np.ndarray:
@@ -191,3 +194,18 @@ def _dephasing_factors(p1, p2) -> np.ndarray:
     keep2 = (1.0 - 2.0 * np.asarray(p2))[..., None, None]
     return (np.where(_QUBIT1_DIFFERS, keep1, 1.0)
             * np.where(_QUBIT2_DIFFERS, keep2, 1.0))
+
+
+def dephased_correlators(dPhiLR, dPhiRL, p1):
+    """<XZ> and <YZ> of `entangled_state(dPhiLR, dPhiRL)` after
+    `apply_dephasing` with qubit-1 probability p1, in closed form:
+    k (cos dPhiRL - cos dPhiLR)/2 and k (sin dPhiLR + sin dPhiRL)/2 with
+    k = 1 - 2 p1.  X and Y flip qubit 1 only, so p2 does not enter.
+
+    Builds and checks no state, and does not check its inputs.  Floats give
+    numpy floats and arrays give arrays, computed with the same numpy sin
+    and cos either way.
+    """
+    keep1 = 1.0 - 2.0 * p1
+    return (keep1 * (np.cos(dPhiRL) - np.cos(dPhiLR)) / 2.0,
+            keep1 * (np.sin(dPhiLR) + np.sin(dPhiRL)) / 2.0)

@@ -1,25 +1,30 @@
 """Constrained parameter-space exploration.
 
-Grid sweeps evaluate phases, the dephased spin state, feasibility and the
-decoherence budget at every point; the phases, the spin states and the
-objective are computed as arrays over the whole grid.  A deterministic
-coordinate-descent with golden-section line searches refines the best
-feasible grid point.  Rows are emitted in row-major axis order and
-runs are bit-reproducible.  `evaluate`, the one scalar pipeline to the
-dephased spin state, serves the CLI `witness` and the line searches, and is
-the oracle every grid row equals bit for bit.
+Grid sweeps evaluate phases, feasibility, the decoherence budget and the
+objective at every point; the phases and the objective's inputs are
+computed as arrays over the whole grid.  The witness objectives read the
+closed-form dephased <XZ>, <YZ> and build no spin state; the negativity
+objective builds and checks the noiseless and dephased states of every row
+outside the decoherence regime errors.  A deterministic coordinate-descent
+with golden-section line searches refines the best feasible grid point.
+Rows are emitted in row-major axis order and runs are bit-reproducible.
+`evaluate`, the one scalar pipeline to the dephased spin state, serves the
+CLI `witness` and the line searches, and is the oracle every grid row
+equals bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -129,52 +134,74 @@ class SweepResult:
             fh.write(self.to_csv())
 
 
-def _objective_value(objective: str, state: spinstate.TwoQubitState,
-                     cxz: float, cyz: float) -> float:
-    """The sweep objective of a dephased state with unrotated <XZ>, <YZ>."""
+def _objective_value(objective: str, cxz: float, cyz: float,
+                     dephased: Callable[[], spinstate.TwoQubitState]) -> float:
+    """The sweep objective of a dephased state with unrotated <XZ>, <YZ>.
+    ``dephased`` builds that state; only the negativity objective calls it."""
     if objective == "negativity":
-        return spinstate.negativity(state)
+        return spinstate.negativity(dephased())
     theta = (spinstate._optimal_theta(cxz, cyz)
              if objective == "witnessOptimized" else 0.0)
     return spinstate._rotated_w(theta, cxz, cyz)[0]
+
+
+def _flip_probability(budget: DecoherenceRates) -> float:
+    """The phase-flip probability of each qubit's spin channel.
+
+    Each mass's spatial coherence decays by e^{-Gamma T} = 1 - totalDephasing
+    over the drop; a phase-flip channel scales coherences by 1 - 2p, so the
+    spin channel gets p = totalDephasing / 2 on each qubit.
+    """
+    return budget.totalDephasing / 2.0
 
 
 @dataclass(frozen=True)
 class Evaluation:
     """Every stage of one configuration's pipeline.
 
-    ``budget`` and ``dephased`` are None when the decoherence budget is out
-    of its regime; ``regimeError`` then holds the guard's message.
+    ``budget`` is None when the decoherence budget is out of its regime;
+    ``regimeError`` then holds the guard's message and ``dephased`` is None.
+    The spin states ``state`` (noiseless) and ``dephased`` are built, and
+    checked by `TwoQubitState`, on first access; `evaluate` has already
+    checked their inputs as `entangled_state` and `apply_dephasing` do.
     """
 
     phases: PhaseSet
     report: ConstraintReport
-    state: spinstate.TwoQubitState        # noiseless
     budget: DecoherenceRates | None
-    dephased: spinstate.TwoQubitState | None
     regimeError: str = ""
+
+    @functools.cached_property
+    def state(self) -> spinstate.TwoQubitState:
+        return spinstate.entangled_state(self.phases.dPhiLR, self.phases.dPhiRL)
+
+    @functools.cached_property
+    def dephased(self) -> spinstate.TwoQubitState | None:
+        if self.budget is None:
+            return None
+        p = _flip_probability(self.budget)
+        return spinstate.apply_dephasing(self.state, p, p)
 
 
 def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
              tauCollOver: float = 1.0) -> Evaluation:
-    """Phases, feasibility, noiseless state, decoherence budget and dephased
-    state of a validated configuration.
+    """Phases, feasibility and decoherence budget of a validated
+    configuration, with its noiseless and dephased spin states.
 
-    Each mass's spatial coherence decays by e^{-Gamma T} = 1 - totalDephasing
-    over the drop; a phase-flip channel scales coherences by 1 - 2p, so the
-    spin channel gets p = totalDephasing / 2 on each qubit.
+    Raises, in pipeline order, what building the states raises: non-finite
+    phases, or a flip probability outside [0, 1].
     """
     phases = static_phases(config)
     report = feasibility_report(config, targetRatio=cpRatioMax,
                                 tauCollFactor=tauCollOver)
-    state = spinstate.entangled_state(phases.dPhiLR, phases.dPhiRL)
+    spinstate._check_phases(phases.dPhiLR, phases.dPhiRL)
     try:
         budget = dephasing_budget(config)
     except RegimeError as err:
-        return Evaluation(phases, report, state, None, None, str(err))
-    p = budget.totalDephasing / 2.0
-    return Evaluation(phases, report, state, budget,
-                      spinstate.apply_dephasing(state, p, p))
+        return Evaluation(phases, report, None, str(err))
+    p = _flip_probability(budget)
+    spinstate._check_probabilities(p, p)
+    return Evaluation(phases, report, budget)
 
 
 def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
@@ -184,9 +211,12 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
     except ConfigError as err:
         return _invalid_row(overrides, err)
     ev = evaluate(cfg, spec.cpRatioMax, spec.requireTauCollOver)
-    obj = math.nan if ev.dephased is None else _objective_value(
-        spec.objective, ev.dephased,
-        *(spinstate.expectation(ev.dephased, a, "Z") for a in "XY"))
+    obj = math.nan
+    if ev.budget is not None:
+        cxz, cyz = spinstate.dephased_correlators(
+            ev.phases.dPhiLR, ev.phases.dPhiRL, _flip_probability(ev.budget))
+        obj = _objective_value(spec.objective, float(cxz), float(cyz),
+                               lambda: ev.dephased)
     return _row(overrides, ev.phases.dPhiLR, ev.phases.dPhiRL, ev.report,
                 ev.budget, ev.regimeError, obj)
 
@@ -219,16 +249,18 @@ def _row(overrides: dict[str, float], dPhiLR: float, dPhiRL: float,
 
 def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     """`_evaluate_point` at every grid point, each row equal to the scalar
-    one, with the state arithmetic done on stacks.
+    one, with the phases and the objective's inputs computed on arrays.
 
     Per point, `validate`, `feasibility_report` and `dephasing_budget` run
-    as in `evaluate`.  Over the valid points, the phases, the noiseless and
-    dephased density matrices and their <XZ>, <YZ> are computed as arrays
-    with the functions `evaluate` uses; each matrix is then checked by
-    `TwoQubitState` as `entangled_state` and `apply_dephasing` would.  A
-    point where the scalar pipeline raises (non-finite phases, p outside
-    [0, 1], an overflow) is handed to `_evaluate_point` in row order, so
-    the sweep raises what the scalar sweep raises.
+    as in `evaluate`.  Over the valid points, the phases and the
+    closed-form dephased <XZ>, <YZ> are computed as arrays with the
+    functions `_evaluate_point` uses, and so, for the negativity objective
+    only, are the noiseless and dephased density matrices; a row outside
+    the regime errors then checks its two matrices by `TwoQubitState` as
+    `entangled_state` and `apply_dephasing` would.  A point where the
+    scalar pipeline raises (non-finite phases, p outside [0, 1], an
+    overflow) is handed to `_evaluate_point` in row order, so the sweep
+    raises what the scalar sweep raises.
     """
     names = [axis.name for axis in spec.axes]
     grid = [dict(zip(names, combo)) for combo in
@@ -255,16 +287,21 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     index = list(stages)
     configs = [stages[i][0] for i in index]
     p = np.array([0.0 if stages[i][2] is None
-                  else stages[i][2].totalDephasing / 2.0 for i in index])
+                  else _flip_probability(stages[i][2]) for i in index])
     with np.errstate(all="ignore"):
         phases = static_phases(SimpleNamespace(**{
             name: np.array([getattr(c, name) for c in configs], dtype=float)
             for name in FIELD_NAMES}))
-        pure = spinstate._pure_rho(phases.dPhiLR, phases.dPhiRL)
-        dephased = pure * spinstate._dephasing_factors(p, p)
-        correlators = np.stack([
-            spinstate._expectation(dephased, spinstate._PAULI_PRODUCTS[a, "Z"])
-            for a in "XY"], axis=1)
+        correlators = np.stack(spinstate.dephased_correlators(
+            phases.dPhiLR, phases.dPhiRL, p), axis=1).tolist()
+        if spec.objective == "negativity":
+            pure = spinstate._pure_rho(phases.dPhiLR, phases.dPhiRL)
+            dephased = pure * spinstate._dephasing_factors(p, p)
+
+    def dephased_state(j: int) -> spinstate.TwoQubitState:
+        spinstate.TwoQubitState(pure[j])        # as `entangled_state` checks it
+        return spinstate.TwoQubitState(dephased[j])
+
     # the checks of `entangled_state` and `apply_dephasing`
     checks_pass = (np.isfinite(phases.dPhiLR) & np.isfinite(phases.dPhiRL)
                    & (p >= 0.0) & (p <= 1.0)).tolist()
@@ -278,12 +315,10 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
             rows[i] = _evaluate_point(base, spec, overrides)
             continue
         _, report, budget, regime_error = stages[i]
-        spinstate.TwoQubitState(pure[j])        # as `entangled_state` checks it
         obj = math.nan
         if budget is not None:
-            obj = _objective_value(spec.objective,
-                                   spinstate.TwoQubitState(dephased[j]),
-                                   *correlators[j].tolist())
+            obj = _objective_value(spec.objective, *correlators[j],
+                                   lambda: dephased_state(j))
         rows[i] = _row(overrides, float(phases.dPhiLR[j]),
                        float(phases.dPhiRL[j]), report, budget, regime_error,
                        obj)

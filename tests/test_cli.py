@@ -117,6 +117,16 @@ def test_missing_config_file(capsys):
     assert err
 
 
+def test_config_integer_beyond_float_range_is_usage_error(tmp_path, capsys):
+    # JSON reads a 401-digit integer exactly; no float can hold it
+    path = tmp_path / "big.json"
+    path.write_text('{"tau": 1' + "0" * 400 + "}")
+    code, out, err = run_cli(capsys, "witness", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tau must be a finite number")
+
+
 def test_out_of_regime_is_computation_error(capsys):
     code, _, err = run_cli(capsys, "decoherence", "--paper-defaults",
                            "--set", "tEnv=300")

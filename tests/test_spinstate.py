@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravwitness.spinstate import (PAULIS, TwoQubitState, WitnessSettings,
-                                   apply_dephasing, entangled_state, expectation,
-                                   negativity, optimize_witness, witness)
+                                   apply_dephasing, dephased_correlators,
+                                   entangled_state, expectation, negativity,
+                                   optimize_witness, witness)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -262,6 +263,19 @@ def test_dephased_negativity_closed_form(a, b, p1, p2):
     assert negativity(out) == pytest.approx(expected, abs=1e-10)
     assert negativity(out) == pytest.approx(brute_force_negativity(out.rho),
                                             abs=1e-12)
+
+
+@given(a=st.floats(-50, 50), b=st.floats(-50, 50), p1=st.floats(0, 1),
+       p2=st.floats(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_dephased_correlators_closed_form(a, b, p1, p2):
+    # the sweep reads the closed form instead of building this state, which
+    # is one that TwoQubitState accepts
+    state = apply_dephasing(entangled_state(a, b), p1, p2)
+    TwoQubitState(state.rho)
+    cxz, cyz = dephased_correlators(a, b, p1)
+    assert abs(cxz - expectation(state, "X", "Z")) <= 1e-15
+    assert abs(cyz - expectation(state, "Y", "Z")) <= 1e-15
 
 
 def test_dephasing_never_increases_negativity():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gravwitness.constraints import feasibility_report
 from gravwitness.core import ConfigConsistencyWarning, load_config, validate
 from gravwitness.gravphase import static_phases
-from gravwitness.spinstate import negativity
+from gravwitness.spinstate import TwoQubitState, negativity
 from gravwitness.sweep import (OBJECTIVES, SweepAxis, SweepRow, SweepSpec,
                                _evaluate_point, _line_search, evaluate,
                                maximize, run_sweep)
@@ -147,7 +147,7 @@ def test_witness_objectives(quiet_config):
     for row_w, row_wo in zip(rows_w, rows_wo):
         s = row_w.dPhiLR + row_w.dPhiRL
         assert row_wo.objective == pytest.approx(
-            math.sqrt(2) * abs(math.sin(s / 2)), abs=1e-6)
+            math.sqrt(2) * abs(math.sin(s / 2)), abs=1e-12)
         assert row_wo.objective >= row_w.objective - 1e-12
 
 
@@ -470,9 +470,64 @@ def test_sweep_from_a_json_config_with_integer_fields(tmp_path, paper_config):
 ])
 def test_sweep_raises_what_the_scalar_path_raises(paper_config, axis, fields,
                                                   error):
+    # the witness objectives build no state, and still raise on its inputs
     base = dataclasses.replace(paper_config, **fields)
-    spec = SweepSpec(axes=(axis,))
-    with pytest.raises((ValueError, OverflowError), match=error) as scalar:
-        _scalar_rows(spec, base)
-    with pytest.raises(scalar.type, match=error):
-        run_sweep(spec, base)
+    for objective in OBJECTIVES:
+        spec = SweepSpec(axes=(axis,), objective=objective)
+        with pytest.raises((ValueError, OverflowError), match=error) as scalar:
+            _scalar_rows(spec, base)
+        with pytest.raises(scalar.type, match=error):
+            run_sweep(spec, base)
+
+
+# ------------------------------------------------ spin states a sweep builds
+
+# invalid, regime-error, infeasible and feasible rows
+_MIXED_AXES = (SweepAxis("tau", 0.5, 8.0, 4),
+               SweepAxis("dx", 1e-4, 5.5e-4, 4),
+               SweepAxis("pressure", 1e-17, 1e-12, 3, "log"),
+               SweepAxis("tEnv", 0.05, 20.0, 3, "log"))
+
+
+@pytest.fixture
+def built_states(monkeypatch):
+    """Every TwoQubitState constructed while the test runs."""
+    built = []
+    post_init = TwoQubitState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(TwoQubitState, "__post_init__", counting)
+    return built
+
+
+def _row_kinds(rows):
+    return {"invalid" if r.reason.startswith("invalid config")
+            else "regime" if "decoherence regime" in r.reason
+            else "feasible" if r.feasible else "infeasible" for r in rows}
+
+
+def test_witness_sweep_and_maximize_build_no_state(paper_config,
+                                                   built_states):
+    spec = SweepSpec(axes=_MIXED_AXES, objective="witnessOptimized")
+    rows = run_sweep(spec, paper_config).rows
+    maximize(spec, paper_config)
+    assert _row_kinds(rows) == {"invalid", "regime", "infeasible", "feasible"}
+    assert built_states == []
+
+
+def test_negativity_sweep_builds_two_states_a_row(paper_config, built_states):
+    # the noiseless and the dephased state of each row outside the regime
+    # errors, in the batched and in the scalar sweep alike
+    spec = SweepSpec(axes=_MIXED_AXES)
+    rows = run_sweep(spec, paper_config).rows
+    assert _row_kinds(rows) == {"invalid", "regime", "infeasible", "feasible"}
+    with_states = sum(1 for r in rows if not r.reason.startswith("invalid")
+                      and "decoherence regime" not in r.reason)
+    assert len(built_states) == 2 * with_states
+    built_states.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigConsistencyWarning)
+        _scalar_rows(spec, paper_config)
+    assert len(built_states) == 2 * with_states
