@@ -189,7 +189,7 @@ def _cmd_constraints(args, cfg):
 def _cmd_decoherence(args, cfg):
     budget = decoherence_mod.dephasing_budget(cfg)
     payload = dataclasses.asdict(budget)
-    payload["experimentDuration"] = cfg.tau + 2.0 * cfg.tauAcc
+    payload["experimentDuration"] = decoherence_mod.experiment_duration(cfg)
     payload["gasDeBroglieWavelength"] = decoherence_mod.gas_de_broglie_wavelength(cfg)
     payload["thermalWavelength"] = decoherence_mod.thermal_wavelength(cfg.tEnv)
     return payload

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import CONSTANTS, ExperimentConfig, RegimeError
+from .core import CONSTANTS, FLOAT_OPS, ExperimentConfig, Ops, RegimeError
 from . import decoherence
 
 # relative margin above contact (2*radius) where the separation range starts
@@ -25,24 +25,28 @@ class ConstraintReport:
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
 
-def casimir_polder_potential(config: ExperimentConfig, r: float) -> float:
+def casimir_polder_potential(config: ExperimentConfig, r: float,
+                             ops: Ops = FLOAT_OPS) -> float:
     """|V_CP(r)| = 23 hbar c R^6 ((eps-1)/(eps+2))^2 / (4 pi r^7).
 
     The sphere polarizabilities alpha = 4 pi eps0 R^3 (eps-1)/(eps+2) absorb
     the (4 pi eps0)^-2 prefactor of the two-polarizability form, which is the
-    unique dimensionally consistent reading.
+    unique dimensionally consistent reading.  Numpy-generic with
+    ``ops=ARRAY_OPS``.
     """
-    if r <= 2 * config.radius:
+    if ops.checked and r <= 2 * config.radius:
         raise ValueError(
             f"spheres overlap: separation {r!r} m <= 2*radius {2 * config.radius!r} m"
         )
-    return (23.0 * CONSTANTS.hbar * CONSTANTS.c * config.radius**6
-            * decoherence.dielectric_factor(config.epsRel) / (4.0 * math.pi * r**7))
+    return (23.0 * CONSTANTS.hbar * CONSTANTS.c * ops.pow(config.radius, 6)
+            * decoherence.dielectric_factor(config.epsRel, ops)
+            / (4.0 * math.pi * ops.pow(r, 7)))
 
 
-def gravitational_potential(config: ExperimentConfig, r: float) -> float:
-    """|V_grav(r)| = G m1 m2 / r."""
-    if r <= 0:
+def gravitational_potential(config: ExperimentConfig, r: float,
+                            ops: Ops = FLOAT_OPS) -> float:
+    """|V_grav(r)| = G m1 m2 / r.  Numpy-generic with ``ops=ARRAY_OPS``."""
+    if ops.checked and r <= 0:
         raise ValueError(f"r must be positive, got {r!r}")
     return CONSTANTS.G * config.m1 * config.m2 / r
 
@@ -72,19 +76,52 @@ def min_separation(config: ExperimentConfig, targetRatio: float) -> float:
     return root
 
 
-def magnetic_interaction_ratio(config: ExperimentConfig, bResidual: float) -> float:
+def magnetic_interaction_ratio(config: ExperimentConfig, bResidual: float,
+                               ops: Ops = FLOAT_OPS) -> float:
     """Induced-dipole coupling relative to gravity at closest approach.
 
     Each sphere acquires mu = chi_m (4/3) pi R^3 B / mu0 in the residual
     field; the dipole-dipole energy mu0 mu^2 / (4 pi r^3) is compared to
-    G m1 m2 / r.  Scales exactly as chi_m^2.
+    G m1 m2 / r.  Scales exactly as chi_m^2.  Numpy-generic with
+    ``ops=ARRAY_OPS``.
     """
-    if not (math.isfinite(bResidual) and bResidual >= 0):
+    if ops.checked and not (math.isfinite(bResidual) and bResidual >= 0):
         raise ValueError(f"bResidual must be >= 0, got {bResidual!r}")
     r = config.d - config.dx
-    mu_ind = config.chiM * (4.0 / 3.0) * math.pi * config.radius**3 * bResidual / CONSTANTS.mu0
-    u_mag = CONSTANTS.mu0 * mu_ind**2 / (4.0 * math.pi * r**3)
-    return u_mag / gravitational_potential(config, r)
+    mu_ind = (config.chiM * (4.0 / 3.0) * math.pi * ops.pow(config.radius, 3)
+              * bResidual / CONSTANTS.mu0)
+    u_mag = CONSTANTS.mu0 * ops.pow(mu_ind, 2) / (4.0 * math.pi * ops.pow(r, 3))
+    return u_mag / gravitational_potential(config, r, ops)
+
+
+def _closest_approach(config: ExperimentConfig, bResidual: float, ops: Ops):
+    """The core of `feasibility_report`: (vCP, vGrav, cpRatio, magRatio) at
+    the closest approach r = d - dx."""
+    r = config.d - config.dx
+    vcp = casimir_polder_potential(config, r, ops)
+    vg = gravitational_potential(config, r, ops)
+    return vcp, vg, vcp / vg, magnetic_interaction_ratio(config, bResidual, ops)
+
+
+def _reasons(cpRatio: float, magRatio: float, targetRatio: float,
+             tauColl: float, tauCollFactor: float, duration: float,
+             regimeError: str = "") -> list[str]:
+    """Why a configuration is infeasible: Casimir-Polder or magnetic
+    coupling above ``targetRatio`` of gravity, or collisional coherence
+    shorter than ``tauCollFactor`` times the drop ``duration``.
+    ``regimeError`` is the collisional guard's message when it fired, and
+    ``tauColl`` is then unused."""
+    reasons = []
+    if cpRatio > targetRatio:
+        reasons.append(f"cpRatio {cpRatio:.3g} > {targetRatio:g}")
+    if magRatio > targetRatio:
+        reasons.append(f"magRatio {magRatio:.3g} > {targetRatio:g}")
+    if regimeError:
+        reasons.append(f"decoherence regime: {regimeError}")
+    elif tauColl < tauCollFactor * duration:
+        reasons.append(f"tauColl {tauColl:.3g} s < {tauCollFactor:g} x "
+                       f"experiment duration {duration:.3g} s")
+    return reasons
 
 
 def feasibility_report(config: ExperimentConfig, targetRatio: float = 0.1,
@@ -92,12 +129,14 @@ def feasibility_report(config: ExperimentConfig, targetRatio: float = 0.1,
                        tauCollFactor: float = 1.0) -> ConstraintReport:
     """Aggregate feasibility: Casimir-Polder and magnetic backgrounds below
     ``targetRatio`` of gravity, and collisional coherence lasting at least
-    ``tauCollFactor`` times the full drop tau + 2 tauAcc."""
+    ``tauCollFactor`` times the full drop tau + 2 tauAcc.
+
+    The numbers come from `_closest_approach` and
+    `decoherence.collisional_time`, and the reasons from `_reasons`; the
+    batched sweep calls the same functions on arrays.
+    """
+    vcp, vg, ratio, mag = _closest_approach(config, bResidual, FLOAT_OPS)
     r = config.d - config.dx
-    vcp = casimir_polder_potential(config, r)
-    vg = gravitational_potential(config, r)
-    ratio = vcp / vg
-    mag = magnetic_interaction_ratio(config, bResidual)
     # the root of min_separation; outside [contact, 1 m] the ratio is on one
     # side of the target everywhere: below it down to contact, or above it
     # out to a metre
@@ -106,21 +145,12 @@ def feasibility_report(config: ExperimentConfig, targetRatio: float = 0.1,
         min_sep = 2.0 * config.radius
     else:
         min_sep = root if root <= 1.0 else math.inf
-    reasons = []
-    if ratio > targetRatio:
-        reasons.append(f"cpRatio {ratio:.3g} > {targetRatio:g}")
-    if mag > targetRatio:
-        reasons.append(f"magRatio {mag:.3g} > {targetRatio:g}")
-    t_exp = config.tau + 2.0 * config.tauAcc
     try:
-        tau_coll = decoherence.collisional_time(config)
-        if tau_coll < tauCollFactor * t_exp:
-            reasons.append(
-                f"tauColl {tau_coll:.3g} s < {tauCollFactor:g} x experiment "
-                f"duration {t_exp:.3g} s"
-            )
+        tau_coll, regime = decoherence.collisional_time(config), ""
     except RegimeError as err:
-        reasons.append(f"decoherence regime: {err}")
+        tau_coll, regime = math.nan, str(err)
+    reasons = _reasons(ratio, mag, targetRatio, tau_coll, tauCollFactor,
+                       decoherence.experiment_duration(config), regime)
     return ConstraintReport(
         vCP=vcp,
         vGrav=vg,

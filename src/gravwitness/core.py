@@ -13,6 +13,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -131,25 +134,28 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     ``validate(validate(c)) == validate(c)``.
     """
     problems: list[str] = []
+    # a plain float inside its range passes with one comparison; anything
+    # else takes the path that names the problem
     for name in ("m1", "m2", "d", "tau", "tauAcc", "dBdx", "radius",
                  "pressure", "tEnv", "mGas"):
-        _positive(name, getattr(config, name), problems)
+        value = getattr(config, name)
+        if not (type(value) is float and 0.0 < value < math.inf):
+            _positive(name, value, problems)
 
-    for name in ("tInt", "chiM", "epsRel"):
-        v = getattr(config, name)
-        if not _finite_number(v):
-            problems.append(f"{name} must be a finite number, got {v!r}")
-    if _finite_number(config.epsRel):
-        if config.epsRel <= 1:
-            problems.append(f"epsRel must be > 1, got {config.epsRel!r}")
-    if _finite_number(config.tInt):
-        if config.tInt < 0:
-            problems.append(f"tInt must be >= 0, got {config.tInt!r}")
+    tInt, chiM, epsRel = config.tInt, config.chiM, config.epsRel
+    if not (type(tInt) is float and 0.0 <= tInt < math.inf
+            and type(chiM) is float and -math.inf < chiM < math.inf
+            and type(epsRel) is float and 1.0 < epsRel < math.inf):
+        for name, v in (("tInt", tInt), ("chiM", chiM), ("epsRel", epsRel)):
+            if not _finite_number(v):
+                problems.append(f"{name} must be a finite number, got {v!r}")
+        if _finite_number(epsRel) and epsRel <= 1:
+            problems.append(f"epsRel must be > 1, got {epsRel!r}")
+        if _finite_number(tInt) and tInt < 0:
+            problems.append(f"tInt must be >= 0, got {tInt!r}")
 
     if problems:
         raise ConfigError("; ".join(problems))
-
-    from .gravphase import superposition_size
 
     try:
         dx_kinematic = superposition_size(config.dBdx, config.tauAcc, config.m1)
@@ -223,3 +229,71 @@ def load_config(path) -> ExperimentConfig:
 def config_to_json(config: ExperimentConfig) -> str:
     """Deterministic JSON serialization (field order fixed)."""
     return json.dumps(config_to_dict(config), indent=2)
+
+
+def _elementwise(fn):
+    """``fn`` on a number, and elementwise with the same ``fn`` on a float
+    array, with nan where it raises OverflowError so that every number
+    computed from it is nan too."""
+    def apply(x, *args):
+        if not isinstance(x, np.ndarray):
+            return fn(x, *args)
+        values = x.ravel().tolist()
+        try:
+            out = [fn(v, *args) for v in values]
+        except OverflowError:
+            out = [_or_nan(fn, v, *args) for v in values]
+        return np.array(out, dtype=float).reshape(x.shape)
+    return apply
+
+
+def _or_nan(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.nan
+
+
+def _divide(a, b):
+    if b == 0.0:
+        return math.inf if a > 0.0 else 0.0
+    return a / b
+
+
+def _divide_arrays(a, b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b == 0.0, np.where(a > 0.0, np.inf, 0.0),
+                        np.divide(a, b))
+
+
+@dataclass(frozen=True)
+class Ops:
+    """The operations of the physics formulas whose number and array forms
+    differ.  A formula written with them is numpy-generic: with
+    `ARRAY_OPS` it takes arrays, or numbers, and gives on each element
+    bit for bit what it gives on that number with `FLOAT_OPS`.
+
+    ``divide(a, b)`` is a / b for a >= 0, with its limit where b is 0: inf,
+    or 0 at a = 0.  With ``checked`` (numbers), inputs are range-checked and
+    a regime guard that fires raises RegimeError; arrays hold validated
+    configurations, and a guard gives where it fires.
+    """
+
+    pow: Callable
+    exp: Callable
+    sqrt: Callable
+    divide: Callable
+    checked: bool
+
+
+FLOAT_OPS = Ops(pow=pow, exp=math.exp, sqrt=math.sqrt, divide=_divide,
+                checked=True)
+# numpy's array pow and exp round differently from libm in the last bit on
+# a few percent of inputs, so arrays go through libm element by element;
+# np.sqrt is correctly rounded, as libm's sqrt is
+ARRAY_OPS = Ops(pow=_elementwise(pow), exp=_elementwise(math.exp),
+                sqrt=np.sqrt, divide=_divide_arrays, checked=False)
+
+
+# gravphase imports this module, so its name is bound last
+from .gravphase import superposition_size  # noqa: E402

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CONSTANTS, ExperimentConfig, RegimeError
+from .core import CONSTANTS, FLOAT_OPS, ExperimentConfig, Ops, RegimeError
 
 # Long-wavelength localization coefficients for a dielectric sphere
 # (Joos-Zeh-type photon scattering and blackbody emission/absorption; see
@@ -41,19 +41,45 @@ class DecoherenceRates:
     totalDephasing: float   # 1 - exp(-Gamma_total T_exp): coherence lost, in [0, 1)
 
 
-def gas_density(pressure: float, tEnv: float) -> float:
-    """Ideal-gas number density n = P / (kB T)."""
-    if not (math.isfinite(pressure) and pressure >= 0):
-        raise ValueError(f"pressure must be >= 0, got {pressure!r}")
-    if not (math.isfinite(tEnv) and tEnv > 0):
-        raise ValueError(f"tEnv must be positive, got {tEnv!r}")
-    return pressure / (CONSTANTS.kB * tEnv)
+def experiment_duration(config: ExperimentConfig) -> float:
+    """The full drop T_exp = tau + 2 tauAcc: split, hold and recombine."""
+    return config.tau + 2.0 * config.tauAcc
 
 
-def gas_de_broglie_wavelength(config: ExperimentConfig) -> float:
-    """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) of the gas, or inf."""
+def gas_density(pressure: float, tEnv: float, ops: Ops = FLOAT_OPS) -> float:
+    """Ideal-gas number density n = P / (kB T); where kB T underflows to 0
+    it is inf, or 0 at P = 0.  Numpy-generic with ``ops=ARRAY_OPS``."""
+    if ops.checked:
+        if not (math.isfinite(pressure) and pressure >= 0):
+            raise ValueError(f"pressure must be >= 0, got {pressure!r}")
+        if not (math.isfinite(tEnv) and tEnv > 0):
+            raise ValueError(f"tEnv must be positive, got {tEnv!r}")
+    return ops.divide(pressure, CONSTANTS.kB * tEnv)
+
+
+def gas_de_broglie_wavelength(config: ExperimentConfig,
+                              ops: Ops = FLOAT_OPS) -> float:
+    """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) of the gas, or inf
+    where 2 pi m kB T underflows to 0.  Numpy-generic with
+    ``ops=ARRAY_OPS``."""
     mkt = 2.0 * math.pi * config.mGas * CONSTANTS.kB * config.tEnv
-    return math.inf if mkt == 0.0 else 2.0 * math.pi * CONSTANTS.hbar / math.sqrt(mkt)
+    return ops.divide(2.0 * math.pi * CONSTANTS.hbar, ops.sqrt(mkt))
+
+
+def _collisions(config: ExperimentConfig, ops: Ops):
+    """The core of `collisional_time`: where the saturated-regime guard
+    fires, and 1/(n vbar pi R^2)."""
+    lam = gas_de_broglie_wavelength(config, ops)
+    fired = config.dx < _REGIME_MARGIN * lam
+    if ops.checked and fired:
+        raise RegimeError(
+            f"saturated collisional regime needs dx >> gas de Broglie wavelength: "
+            f"dx={config.dx:g} m vs {_REGIME_MARGIN:g} x {lam:g} m"
+        )
+    n = gas_density(config.pressure, config.tEnv, ops)
+    vbar = ops.sqrt(8.0 * CONSTANTS.kB * config.tEnv / (math.pi * config.mGas))
+    gamma = n * vbar * math.pi * ops.pow(config.radius, 2)
+    return fired, ops.divide(1.0, gamma)
 
 
 def collisional_time(config: ExperimentConfig) -> float:
@@ -62,49 +88,77 @@ def collisional_time(config: ExperimentConfig) -> float:
     Valid only for dx well above the gas de Broglie wavelength (every
     collision then resolves the superposition); returns inf at zero pressure.
     """
-    lam = gas_de_broglie_wavelength(config)
-    if config.dx < _REGIME_MARGIN * lam:
-        raise RegimeError(
-            f"saturated collisional regime needs dx >> gas de Broglie wavelength: "
-            f"dx={config.dx:g} m vs {_REGIME_MARGIN:g} x {lam:g} m"
-        )
-    n = gas_density(config.pressure, config.tEnv)
-    vbar = math.sqrt(8.0 * CONSTANTS.kB * config.tEnv / (math.pi * config.mGas))
-    gamma = n * vbar * math.pi * config.radius**2
-    return math.inf if gamma == 0.0 else 1.0 / gamma
+    return _collisions(config, FLOAT_OPS)[1]
 
 
-def dielectric_factor(epsRel: float) -> float:
-    """F(eps) of the photon rates above and of the Casimir-Polder potential."""
-    return ((epsRel - 1.0) / (epsRel + 2.0)) ** 2
+def dielectric_factor(epsRel: float, ops: Ops = FLOAT_OPS) -> float:
+    """F(eps) of the photon rates above and of the Casimir-Polder potential.
+    Numpy-generic with ``ops=ARRAY_OPS``."""
+    return ops.pow((epsRel - 1.0) / (epsRel + 2.0), 2)
 
 
-def thermal_wavelength(temperature: float) -> float:
-    """Dominant thermal photon wavelength 2 pi hbar c / (kB T)."""
-    return 2.0 * math.pi * CONSTANTS.hbar * CONSTANTS.c / (CONSTANTS.kB * temperature)
+def thermal_wavelength(temperature: float, ops: Ops = FLOAT_OPS) -> float:
+    """Dominant thermal photon wavelength 2 pi hbar c / (kB T), or inf where
+    kB T is 0.  Numpy-generic with ``ops=ARRAY_OPS``."""
+    return ops.divide(2.0 * math.pi * CONSTANTS.hbar * CONSTANTS.c,
+                      CONSTANTS.kB * temperature)
+
+
+def _photons(config: ExperimentConfig, ops: Ops):
+    """The core of `thermal_rates`: where a long-wavelength guard fires,
+    and the three rates.  Where kB T is 0 there are no photons: the guard
+    holds and the rate is 0."""
+    dielec = dielectric_factor(config.epsRel, ops)
+    hc = CONSTANTS.hbar * CONSTANTS.c
+    fired, rates = False, []
+    for temp, coeff, r_pow, kt_pow in ((config.tEnv, _C_SCATTER, 6, 9),
+                                       (config.tInt, _C_PLANCK, 3, 6),
+                                       (config.tEnv, _C_PLANCK, 3, 6)):
+        wavelength = thermal_wavelength(temp, ops)
+        hot = config.dx > wavelength / _REGIME_MARGIN
+        if ops.checked and hot:
+            raise RegimeError(
+                f"long-wavelength photon regime needs dx << thermal wavelength: "
+                f"dx={config.dx:g} m vs {wavelength:g} m at {temp:g} K"
+            )
+        fired = fired | hot
+        kt = CONSTANTS.kB * temp / hc
+        lam = (coeff * CONSTANTS.c * ops.pow(config.radius, r_pow)
+               * ops.pow(kt, kt_pow) * dielec)
+        rates.append(lam * ops.pow(config.dx, 2))
+    return fired, tuple(rates)
 
 
 def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
     """(scattering, emission, absorption) localization rates at the
     superposition size dx, long-wavelength regime."""
-    dielec = dielectric_factor(config.epsRel)
-    hc = CONSTANTS.hbar * CONSTANTS.c
-    rates = []
-    for temp, coeff, r_pow, kt_pow in ((config.tEnv, _C_SCATTER, 6, 9),
-                                       (config.tInt, _C_PLANCK, 3, 6),
-                                       (config.tEnv, _C_PLANCK, 3, 6)):
-        if CONSTANTS.kB * temp == 0.0:     # no photons; also where kB T underflows
-            rates.append(0.0)
-            continue
-        if config.dx > thermal_wavelength(temp) / _REGIME_MARGIN:
-            raise RegimeError(
-                f"long-wavelength photon regime needs dx << thermal wavelength: "
-                f"dx={config.dx:g} m vs {thermal_wavelength(temp):g} m at {temp:g} K"
-            )
-        kt = CONSTANTS.kB * temp / hc
-        lam = coeff * CONSTANTS.c * config.radius**r_pow * kt**kt_pow * dielec
-        rates.append(lam * config.dx**2)
-    return tuple(rates)
+    return _photons(config, FLOAT_OPS)[1]
+
+
+def _budget(config: ExperimentConfig, ops: Ops):
+    """The core of `dephasing_budget`: where a regime guard fires, and the
+    DecoherenceRates (of arrays, with ``ops=ARRAY_OPS``).
+
+    With `FLOAT_OPS` the first guard to fire raises RegimeError, in the
+    order the rates are computed: collisions, then each photon rate.
+    Arrays hold validated configurations, whose pressure is > 0.
+    """
+    if ops.checked and config.pressure == 0.0:
+        fired, gamma_coll = False, 0.0         # no gas
+    else:
+        fired, tau_coll = _collisions(config, ops)
+        gamma_coll = 1.0 / tau_coll
+    photons_fired, (g_sc, g_em, g_abs) = _photons(config, ops)
+    total_rate = gamma_coll + g_sc + g_em + g_abs
+    p = 1.0 - ops.exp(-total_rate * experiment_duration(config))
+    return fired | photons_fired, DecoherenceRates(
+        gammaColl=gamma_coll,
+        gammaSc=g_sc,
+        gammaEm=g_em,
+        gammaAbs=g_abs,
+        tauColl=ops.divide(1.0, gamma_coll),
+        totalDephasing=p,
+    )
 
 
 def dephasing_budget(config: ExperimentConfig) -> DecoherenceRates:
@@ -113,21 +167,7 @@ def dephasing_budget(config: ExperimentConfig) -> DecoherenceRates:
     ``totalDephasing`` = 1 - e^{-Gamma T_exp} is the fraction of each mass's
     coherence lost: its spin coherences decay by 1 - totalDephasing, which
     a phase-flip channel gives at p = totalDephasing / 2 (see
-    `sweep.evaluate`).
+    `sweep.evaluate`).  The numbers come from `_budget`, which the batched
+    sweep calls on arrays.
     """
-    if config.pressure == 0.0:
-        gamma_coll = 0.0
-    else:
-        gamma_coll = 1.0 / collisional_time(config)
-    g_sc, g_em, g_abs = thermal_rates(config)
-    t_exp = config.tau + 2.0 * config.tauAcc
-    total_rate = gamma_coll + g_sc + g_em + g_abs
-    p = 1.0 - math.exp(-total_rate * t_exp)
-    return DecoherenceRates(
-        gammaColl=gamma_coll,
-        gammaSc=g_sc,
-        gammaEm=g_em,
-        gammaAbs=g_abs,
-        tauColl=math.inf if gamma_coll == 0.0 else 1.0 / gamma_coll,
-        totalDephasing=p,
-    )
+    return _budget(config, FLOAT_OPS)[1]

@@ -32,15 +32,25 @@ TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """4x4 density matrix in the {uu, ud, du, dd} basis.
 
     Construction enforces hermiticity (1e-12), unit trace (1e-12) and
-    positivity (eigenvalues >= -1e-10).
+    positivity (eigenvalues >= -1e-10).  Two states are equal when their
+    matrices are equal entry by entry.
     """
 
     rho: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, TwoQubitState):
+            return NotImplemented
+        return bool(np.array_equal(self.rho, other.rho))
+
+    # equal matrices may differ in the sign of a zero, which a hash of
+    # their bytes would tell apart
+    __hash__ = None
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=complex)

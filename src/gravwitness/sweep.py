@@ -1,8 +1,10 @@
 """Constrained parameter-space exploration.
 
 Grid sweeps evaluate phases, feasibility, the decoherence budget and the
-objective at every point; the phases and the objective's inputs are
-computed as arrays over the whole grid.  The witness objectives read the
+objective at every point.  Each point is validated on its own; over the
+valid points every number is computed as arrays, by the numpy-generic
+cores the scalar `feasibility_report` and `dephasing_budget` call, so no
+formula has a second copy here.  The witness objectives read the
 closed-form dephased <XZ>, <YZ> and build no spin state; the negativity
 objective builds and checks the noiseless and dephased states of every row
 outside the decoherence regime errors.  A deterministic coordinate-descent
@@ -16,7 +18,6 @@ equals bit for bit.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -28,10 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import spinstate
+from . import constraints, decoherence, spinstate
 from .constraints import ConstraintReport, feasibility_report
-from .core import (ConfigConsistencyWarning, ConfigError, ExperimentConfig,
-                   FIELD_NAMES, RegimeError, validate)
+from .core import (ARRAY_OPS, ConfigConsistencyWarning, ConfigError,
+                   ExperimentConfig, FIELD_NAMES, RegimeError, validate)
 from .decoherence import DecoherenceRates, dephasing_budget
 from .gravphase import PhaseSet, static_phases
 
@@ -204,12 +205,27 @@ def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
     return Evaluation(phases, report, budget)
 
 
+def _config(fields: dict, overrides: dict) -> ExperimentConfig:
+    """``dataclasses.replace(base, **overrides)`` for ``fields = vars(base)``,
+    built by one dict update: replace scans the fields and runs the keyword
+    ``__init__`` on every call, and ExperimentConfig has no
+    ``__post_init__`` that this skips."""
+    config = object.__new__(ExperimentConfig)
+    config.__dict__.update(fields, **overrides)
+    return config
+
+
 def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
                     overrides: dict[str, float]) -> SweepRow:
     try:
-        cfg = validate(dataclasses.replace(base, **overrides))
+        cfg = validate(_config(vars(base), overrides))
     except ConfigError as err:
         return _invalid_row(overrides, err)
+    return _valid_row(cfg, spec, overrides)
+
+
+def _valid_row(cfg: ExperimentConfig, spec: SweepSpec,
+               overrides: dict[str, float]) -> SweepRow:
     ev = evaluate(cfg, spec.cpRatioMax, spec.requireTauCollOver)
     obj = math.nan
     if ev.budget is not None:
@@ -217,8 +233,10 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
             ev.phases.dPhiLR, ev.phases.dPhiRL, _flip_probability(ev.budget))
         obj = _objective_value(spec.objective, float(cxz), float(cyz),
                                lambda: ev.dephased)
-    return _row(overrides, ev.phases.dPhiLR, ev.phases.dPhiRL, ev.report,
-                ev.budget, ev.regimeError, obj)
+    return _row(overrides, ev.phases.dPhiLR, ev.phases.dPhiRL,
+                ev.report.cpRatio, ev.report.reasons,
+                math.nan if ev.budget is None else ev.budget.tauColl,
+                ev.regimeError, obj)
 
 
 def _invalid_row(overrides: dict[str, float], err: ConfigError) -> SweepRow:
@@ -229,98 +247,136 @@ def _invalid_row(overrides: dict[str, float], err: ConfigError) -> SweepRow:
 
 
 def _row(overrides: dict[str, float], dPhiLR: float, dPhiRL: float,
-         report: ConstraintReport, budget: DecoherenceRates | None,
-         regimeError: str, objective: float) -> SweepRow:
-    """The row of a valid configuration.  ``budget`` is None when the
-    decoherence budget is out of its regime; tauColl is then nan."""
-    reasons = list(report.reasons)
-    tau_coll = math.nan
-    if budget is None:
+         cpRatio: float, reasons, tauColl: float, regimeError: str,
+         objective: float) -> SweepRow:
+    """The row of a valid configuration.  ``regimeError`` is the message of
+    the decoherence budget's regime guard when it fired, and ``tauColl`` is
+    then nan."""
+    reasons = list(reasons)
+    if regimeError:
         msg = f"decoherence regime: {regimeError}"
         if msg not in reasons:
             reasons.append(msg)
-    else:
-        tau_coll = budget.tauColl
     return SweepRow(params=dict(overrides), dPhiLR=dPhiLR, dPhiRL=dPhiRL,
-                    objective=objective, cpRatio=report.cpRatio,
-                    tauColl=tau_coll, feasible=not reasons,
-                    reason="; ".join(reasons))
+                    objective=objective, cpRatio=cpRatio, tauColl=tauColl,
+                    feasible=not reasons, reason="; ".join(reasons))
+
+
+def _regime_error(cfg: ExperimentConfig) -> str | None:
+    """The message of the regime guard `dephasing_budget` raises on
+    ``cfg``, or None when none fires."""
+    try:
+        dephasing_budget(cfg)
+    except RegimeError as err:
+        return str(err)
+    return None
+
+
+def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
+    """`evaluate` on arrays over a batch of validated configurations: a
+    namespace whose fields are arrays or the numbers they share.
+
+    The numbers come from the numpy-generic cores of `static_phases`,
+    `feasibility_report` (`constraints._closest_approach`,
+    `decoherence._collisions`) and `dephasing_budget`
+    (`decoherence._budget`).  ``scalar_only`` marks the points where
+    `evaluate` raises or may raise: non-finite phases, a flip probability
+    outside [0, 1], or a non-finite number where a scalar step overflows or
+    divides by zero.  ``regime`` marks the points whose budget is out of
+    its regime; their p is 0.
+    """
+    with np.errstate(all="ignore"):
+        phases = static_phases(batch)
+        _, _, cp_ratio, mag_ratio = constraints._closest_approach(
+            batch, 0.0, ARRAY_OPS)
+        coll_fired, tau_coll = decoherence._collisions(batch, ARRAY_OPS)
+        regime, budget = decoherence._budget(batch, ARRAY_OPS)
+        duration = decoherence.experiment_duration(batch)
+        p = np.where(regime, 0.0, _flip_probability(budget))
+        rates_finite = (np.isfinite(budget.gammaColl) & np.isfinite(budget.gammaSc)
+                        & np.isfinite(budget.gammaEm) & np.isfinite(budget.gammaAbs))
+        scalar_only = ~(np.isfinite(phases.dPhiLR) & np.isfinite(phases.dPhiRL)
+                        & (p >= 0.0) & (p <= 1.0)
+                        & np.isfinite(cp_ratio) & np.isfinite(mag_ratio)
+                        & (coll_fired | rates_finite))
+    return SimpleNamespace(
+        dPhiLR=phases.dPhiLR, dPhiRL=phases.dPhiRL, cpRatio=cp_ratio,
+        magRatio=mag_ratio, collisionsFired=coll_fired, tauColl=tau_coll,
+        duration=duration, regime=regime,
+        budgetTauColl=budget.tauColl, p=p, scalar_only=scalar_only)
 
 
 def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     """`_evaluate_point` at every grid point, each row equal to the scalar
-    one, with the phases and the objective's inputs computed on arrays.
+    one, with every number computed on arrays.
 
-    Per point, `validate`, `feasibility_report` and `dephasing_budget` run
-    as in `evaluate`.  Over the valid points, the phases and the
-    closed-form dephased <XZ>, <YZ> are computed as arrays with the
-    functions `_evaluate_point` uses, and so, for the negativity objective
-    only, are the noiseless and dephased density matrices; a row outside
-    the regime errors then checks its two matrices by `TwoQubitState` as
-    `entangled_state` and `apply_dephasing` would.  A point where the
-    scalar pipeline raises (non-finite phases, p outside [0, 1], an
-    overflow) is handed to `_evaluate_point` in row order, so the sweep
-    raises what the scalar sweep raises.
+    Per point, `validate` runs as in `_evaluate_point`.  Over the valid
+    points, `_stacked` computes the phases, the feasibility numbers and the
+    decoherence budget with the numpy-generic cores the scalar functions
+    call, then the closed-form dephased <XZ>, <YZ> and, for the negativity
+    objective only, the noiseless and dephased density matrices; a row
+    outside the regime errors then checks its two matrices by
+    `TwoQubitState` as `entangled_state` and `apply_dephasing` would.
+    Reason text is formatted only for the rows that fail a check, and a
+    regime guard's message comes from `dephasing_budget` on its row.  A
+    point where the scalar pipeline raises or may raise is handed to the
+    scalar pipeline in row order, so the sweep raises what the scalar sweep
+    raises.
     """
     names = [axis.name for axis in spec.axes]
+    fields = vars(base)
     grid = [dict(zip(names, combo)) for combo in
             itertools.product(*(axis.values().tolist() for axis in spec.axes))]
     rows: list[SweepRow | None] = [None] * len(grid)
-    stages = {}         # grid index -> (config, report, budget, regime error)
+    valid = []          # (grid index, validated configuration)
     for i, overrides in enumerate(grid):
         try:
-            cfg = validate(dataclasses.replace(base, **overrides))
+            valid.append((i, validate(_config(fields, overrides))))
         except ConfigError as err:
             rows[i] = _invalid_row(overrides, err)
-            continue
-        try:
-            report = feasibility_report(cfg, targetRatio=spec.cpRatioMax,
-                                        tauCollFactor=spec.requireTauCollOver)
-            try:
-                stages[i] = (cfg, report, dephasing_budget(cfg), "")
-            except RegimeError as err:
-                stages[i] = (cfg, report, None, str(err))
-        except Exception:       # raised again by `_evaluate_point` below
-            pass
+    if not valid:
+        return rows
 
-    # the stacked pipeline of `evaluate` over the points that reached it
-    index = list(stages)
-    configs = [stages[i][0] for i in index]
-    p = np.array([0.0 if stages[i][2] is None
-                  else _flip_probability(stages[i][2]) for i in index])
+    # the axes vary, and dx where `validate` derives it; every other field
+    # is the base's own number
+    varying = names + ["dx"] if base.dx is None else names
+    batch = SimpleNamespace(**{**fields, **{
+        name: np.array([getattr(cfg, name) for _, cfg in valid], dtype=float)
+        for name in varying}})
+    n = len(valid)
+    st = _stacked(batch)
+    dPhiLR, dPhiRL, p = (np.broadcast_to(x, (n,)) for x in
+                         (st.dPhiLR, st.dPhiRL, st.p))
     with np.errstate(all="ignore"):
-        phases = static_phases(SimpleNamespace(**{
-            name: np.array([getattr(c, name) for c in configs], dtype=float)
-            for name in FIELD_NAMES}))
-        correlators = np.stack(spinstate.dephased_correlators(
-            phases.dPhiLR, phases.dPhiRL, p), axis=1).tolist()
+        correlators = np.stack(spinstate.dephased_correlators(dPhiLR, dPhiRL, p),
+                               axis=1).tolist()
         if spec.objective == "negativity":
-            pure = spinstate._pure_rho(phases.dPhiLR, phases.dPhiRL)
+            pure = spinstate._pure_rho(dPhiLR, dPhiRL)
             dephased = pure * spinstate._dephasing_factors(p, p)
 
     def dephased_state(j: int) -> spinstate.TwoQubitState:
         spinstate.TwoQubitState(pure[j])        # as `entangled_state` checks it
         return spinstate.TwoQubitState(dephased[j])
 
-    # the checks of `entangled_state` and `apply_dephasing`
-    checks_pass = (np.isfinite(phases.dPhiLR) & np.isfinite(phases.dPhiRL)
-                   & (p >= 0.0) & (p <= 1.0)).tolist()
-    slot = {i: j for j, i in enumerate(index)}
-
-    for i, overrides in enumerate(grid):
-        if rows[i] is not None:
+    columns = zip(*(np.broadcast_to(x, (n,)).tolist() for x in (
+        dPhiLR, dPhiRL, st.cpRatio, st.magRatio, st.collisionsFired,
+        st.tauColl, st.duration, st.regime, st.budgetTauColl,
+        st.scalar_only)))
+    for j, ((i, cfg), column) in enumerate(zip(valid, columns)):
+        (dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired, tau_coll,
+         duration, regime, budget_tau_coll, scalar_only) = column
+        regime_error = "" if scalar_only or not regime else _regime_error(cfg)
+        if scalar_only or regime_error is None:
+            rows[i] = _valid_row(cfg, spec, grid[i])
             continue
-        j = slot.get(i)
-        if j is None or not checks_pass[j]:
-            rows[i] = _evaluate_point(base, spec, overrides)
-            continue
-        _, report, budget, regime_error = stages[i]
-        obj = math.nan
-        if budget is not None:
-            obj = _objective_value(spec.objective, *correlators[j],
-                                   lambda: dephased_state(j))
-        rows[i] = _row(overrides, float(phases.dPhiLR[j]),
-                       float(phases.dPhiRL[j]), report, budget, regime_error,
+        reasons = constraints._reasons(
+            cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
+            spec.requireTauCollOver, duration,
+            regime_error if coll_fired else "")
+        obj = math.nan if regime else _objective_value(
+            spec.objective, *correlators[j], lambda: dephased_state(j))
+        rows[i] = _row(grid[i], dphi_lr, dphi_rl, cp_ratio, reasons,
+                       math.nan if regime else budget_tau_coll, regime_error,
                        obj)
     return rows
 
@@ -398,5 +454,5 @@ def maximize(spec: SweepSpec,
                 if searched.get(axis.name) is not best:
                     best = searched[axis.name] = _line_search(
                         base_config, spec, axis, best)
-        final_config = validate(dataclasses.replace(base_config, **best.params))
+        final_config = validate(_config(vars(base_config), best.params))
     return final_config, best

@@ -35,6 +35,13 @@ def test_gas_density_rejects_bad_inputs():
         gas_density(1e-15, 0.0)
 
 
+def test_gas_density_where_kT_underflows():
+    # kB * 1e-310 K rounds to 0: no division by zero
+    for t_env in (1e-310, 5e-324):
+        assert gas_density(1e-15, t_env) == math.inf
+        assert gas_density(0.0, t_env) == 0.0
+
+
 def test_collisional_time_value(paper_config):
     t = collisional_time(paper_config)
     assert t == pytest.approx(TAU_COLL_REF, rel=1e-12)

@@ -308,6 +308,22 @@ def test_two_qubit_state_is_read_only():
         state.rho[0, 0] = 2.0
 
 
+def test_two_qubit_states_compare_by_matrix():
+    assert entangled_state(0.1, 0.2) == entangled_state(0.1, 0.2)
+    assert entangled_state(0.1, 0.2) != entangled_state(0.1, 0.3)
+    # a zero of either sign is the same entry
+    mixed = np.eye(4, dtype=complex) / 4
+    signed = mixed.copy()
+    signed[0, 1] = complex(-0.0, -0.0)
+    assert TwoQubitState(mixed) == TwoQubitState(signed)
+    assert entangled_state(0.0, 0.0) != "state"
+
+
+def test_two_qubit_states_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(entangled_state(0.1, 0.2))
+
+
 def test_pauli_table():
     for name, mat in PAULIS.items():
         assert np.allclose(mat @ mat, np.eye(2)), name

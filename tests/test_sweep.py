@@ -2,14 +2,19 @@ import dataclasses
 import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gravwitness import constraints, decoherence, sweep
 from gravwitness.constraints import feasibility_report
-from gravwitness.core import ConfigConsistencyWarning, load_config, validate
+from gravwitness.core import (ARRAY_OPS, ConfigConsistencyWarning, ConfigError,
+                              RegimeError, load_config, paper_defaults,
+                              validate)
+from gravwitness.decoherence import collisional_time, dephasing_budget
 from gravwitness.gravphase import static_phases
 from gravwitness.spinstate import TwoQubitState, negativity
 from gravwitness.sweep import (OBJECTIVES, SweepAxis, SweepRow, SweepSpec,
@@ -478,6 +483,146 @@ def test_sweep_raises_what_the_scalar_path_raises(paper_config, axis, fields,
             _scalar_rows(spec, base)
         with pytest.raises(scalar.type, match=error):
             run_sweep(spec, base)
+
+
+# ------------------------------------- batched cores vs the scalar functions
+
+# per field, values of either type a hand-written config may hold
+_FIELD_VALUES = {
+    "tau": st.one_of(st.floats(0.05, 12.0), st.integers(1, 12)),
+    "d": st.floats(1e-4, 1e-3),
+    "dx": st.floats(1e-9, 6e-4),            # collisional guard below ~2e-8
+    "pressure": st.one_of(st.floats(-30.0, -10.0).map(lambda e: 10.0 ** e),
+                          st.integers(1, 3)),
+    # thermal guard when hot; kB T underflows to 0 at the last two
+    "tEnv": st.one_of(st.floats(-7.0, 2.5).map(lambda e: 10.0 ** e),
+                      st.integers(1, 300), st.sampled_from([1e-310, 5e-324])),
+    "tInt": st.one_of(st.just(0), st.just(0.0), st.floats(0.0, 30.0),
+                      st.just(1e-310)),
+    "radius": st.floats(1e-7, 5e-6),
+    "epsRel": st.one_of(st.floats(1.5, 10.0), st.integers(2, 10)),
+    "m1": st.floats(1e-15, 1e-13),
+}
+
+
+@st.composite
+def batches(draw):
+    """A base configuration and validated points that differ from it in a
+    few fields, as a grid's points do; at ``huge``, radius**6 / r**7
+    overflows."""
+    huge = draw(st.booleans()) and draw(st.booleans())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigConsistencyWarning)
+        base = validate(paper_defaults())
+    base = dataclasses.replace(base, **{
+        name: draw(values) for name, values in _FIELD_VALUES.items()
+        if draw(st.booleans())})
+    names = draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), min_size=1,
+                          max_size=4, unique=True))
+    if huge:
+        base = dataclasses.replace(base, radius=1e45)
+        names = ["d"] + [name for name in names if name not in ("d", "radius")]
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        values = {name: draw(st.floats(1e46, 2e46) if huge and name == "d"
+                             else _FIELD_VALUES[name]) for name in names}
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConfigConsistencyWarning)
+                points.append(validate(dataclasses.replace(base, **values)))
+        except ConfigError:
+            pass
+    assume(points)
+    return base, names, points
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as err:        # compared by the caller
+        return None, err
+
+
+@given(batch=batches(), target=st.floats(0.01, 10.0),
+       factor=st.floats(1.0, 3.0))
+@settings(max_examples=150, deadline=None)
+def test_array_cores_equal_the_scalar_functions(batch, target, factor):
+    base, names, points = batch
+    arrays = SimpleNamespace(**{**vars(base), **{
+        name: np.array([getattr(cfg, name) for cfg in points], dtype=float)
+        for name in names}})
+    n = len(points)
+
+    def column(x):
+        return np.broadcast_to(x, (n,)).tolist()
+
+    with np.errstate(all="ignore"):
+        report = [column(x) for x in
+                  constraints._closest_approach(arrays, 0.0, ARRAY_OPS)]
+        fired, tau = map(column, decoherence._collisions(arrays, ARRAY_OPS))
+        regime, rates = decoherence._budget(arrays, ARRAY_OPS)
+    regime = column(regime)
+    rates = {f.name: column(getattr(rates, f.name))
+             for f in dataclasses.fields(rates)}
+    duration = column(decoherence.experiment_duration(arrays))
+    scalar_only = column(sweep._stacked(arrays).scalar_only)
+
+    for j, cfg in enumerate(points):
+        want_report, report_err = _outcome(feasibility_report, cfg, target,
+                                           0.0, factor)
+        want_tau, tau_err = _outcome(collisional_time, cfg)
+        want_rates, rates_err = _outcome(dephasing_budget, cfg)
+        if any(err is not None and not isinstance(err, RegimeError)
+               for err in (report_err, tau_err, rates_err)):
+            # the grid hands the point to the scalar pipeline
+            assert scalar_only[j]
+            continue
+        got = dict(zip(("vCP", "vGrav", "cpRatio", "magRatio"),
+                       (x[j] for x in report)))
+        assert [repr(v) for v in got.values()] == \
+            [repr(getattr(want_report, k)) for k in got]
+        assert fired[j] == isinstance(tau_err, RegimeError)
+        if tau_err is None:
+            assert repr(tau[j]) == repr(want_tau)
+        assert want_report.reasons == tuple(constraints._reasons(
+            got["cpRatio"], got["magRatio"], target, tau[j], factor,
+            duration[j], str(tau_err) if fired[j] else ""))
+        if scalar_only[j]:
+            continue
+        assert regime[j] == isinstance(rates_err, RegimeError)
+        if rates_err is None:
+            assert {k: repr(v[j]) for k, v in rates.items()} == \
+                {k: repr(getattr(want_rates, k)) for k in rates}
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """Calls of the scalar feasibility_report and dephasing_budget, by name."""
+    calls = {"feasibility_report": 0, "dephasing_budget": 0}
+    for module, name in ((constraints, "feasibility_report"),
+                         (decoherence, "dephasing_budget")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(sweep, name, counting)
+    return calls
+
+
+def test_witness_grid_calls_no_scalar_report(paper_config, scalar_calls):
+    spec = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 8),
+                           SweepAxis("dx", 1e-4, 5.5e-4, 6),
+                           SweepAxis("pressure", 1e-17, 1e-12, 5, "log"),
+                           SweepAxis("tEnv", 0.05, 20.0, 4, "log")),
+                     objective="witnessOptimized")
+    rows = run_sweep(spec, paper_config).rows
+    regime_rows = sum("decoherence regime" in r.reason for r in rows)
+    assert regime_rows > 0
+    assert scalar_calls["feasibility_report"] == 0
+    # a regime row reads its guard's message from the scalar budget
+    assert scalar_calls["dephasing_budget"] <= regime_rows
 
 
 # ------------------------------------------------ spin states a sweep builds
