@@ -76,6 +76,17 @@ def min_separation(config: ExperimentConfig, targetRatio: float) -> float:
     return root
 
 
+def _dipole_energy(config: ExperimentConfig, bResidual: float, r: float,
+                   ops: Ops):
+    """The induced dipole-dipole energy mu0 mu^2 / (4 pi r^3) of
+    `magnetic_interaction_ratio` at ``r``; ``bResidual`` is checked here."""
+    if ops.checked and not (math.isfinite(bResidual) and bResidual >= 0):
+        raise ValueError(f"bResidual must be >= 0, got {bResidual!r}")
+    mu_ind = (config.chiM * (4.0 / 3.0) * math.pi * ops.pow(config.radius, 3)
+              * bResidual / CONSTANTS.mu0)
+    return CONSTANTS.mu0 * ops.pow(mu_ind, 2) / (4.0 * math.pi * ops.pow(r, 3))
+
+
 def magnetic_interaction_ratio(config: ExperimentConfig, bResidual: float,
                                ops: Ops = FLOAT_OPS) -> float:
     """Induced-dipole coupling relative to gravity at closest approach.
@@ -85,13 +96,9 @@ def magnetic_interaction_ratio(config: ExperimentConfig, bResidual: float,
     G m1 m2 / r.  Scales exactly as chi_m^2.  Numpy-generic with
     ``ops=ARRAY_OPS``.
     """
-    if ops.checked and not (math.isfinite(bResidual) and bResidual >= 0):
-        raise ValueError(f"bResidual must be >= 0, got {bResidual!r}")
     r = config.d - config.dx
-    mu_ind = (config.chiM * (4.0 / 3.0) * math.pi * ops.pow(config.radius, 3)
-              * bResidual / CONSTANTS.mu0)
-    u_mag = CONSTANTS.mu0 * ops.pow(mu_ind, 2) / (4.0 * math.pi * ops.pow(r, 3))
-    return u_mag / gravitational_potential(config, r, ops)
+    return (_dipole_energy(config, bResidual, r, ops)
+            / gravitational_potential(config, r, ops))
 
 
 def _closest_approach(config: ExperimentConfig, bResidual: float, ops: Ops):
@@ -100,7 +107,8 @@ def _closest_approach(config: ExperimentConfig, bResidual: float, ops: Ops):
     r = config.d - config.dx
     vcp = casimir_polder_potential(config, r, ops)
     vg = gravitational_potential(config, r, ops)
-    return vcp, vg, vcp / vg, magnetic_interaction_ratio(config, bResidual, ops)
+    ratio = vcp / vg
+    return vcp, vg, ratio, _dipole_energy(config, bResidual, r, ops) / vg
 
 
 def _reasons(cpRatio: float, magRatio: float, targetRatio: float,
@@ -131,9 +139,9 @@ def feasibility_report(config: ExperimentConfig, targetRatio: float = 0.1,
     ``targetRatio`` of gravity, and collisional coherence lasting at least
     ``tauCollFactor`` times the full drop tau + 2 tauAcc.
 
-    The numbers come from `_closest_approach` and
-    `decoherence.collisional_time`, and the reasons from `_reasons`; the
-    batched sweep calls the same functions on arrays.
+    The numbers come from `_closest_approach` and `decoherence._collisions`
+    (the core of `decoherence.collisional_time`), and the reasons from
+    `_reasons`; the batched sweep calls the same functions on arrays.
     """
     vcp, vg, ratio, mag = _closest_approach(config, bResidual, FLOAT_OPS)
     r = config.d - config.dx
@@ -146,17 +154,11 @@ def feasibility_report(config: ExperimentConfig, targetRatio: float = 0.1,
     else:
         min_sep = root if root <= 1.0 else math.inf
     try:
-        tau_coll, regime = decoherence.collisional_time(config), ""
+        tau_coll, regime = decoherence._collisions(config, FLOAT_OPS)[1], ""
     except RegimeError as err:
         tau_coll, regime = math.nan, str(err)
     reasons = _reasons(ratio, mag, targetRatio, tau_coll, tauCollFactor,
                        decoherence.experiment_duration(config), regime)
-    return ConstraintReport(
-        vCP=vcp,
-        vGrav=vg,
-        cpRatio=ratio,
-        magRatio=mag,
-        minSeparation=min_sep,
-        feasible=not reasons,
-        reasons=tuple(reasons),
-    )
+    # in field order; passing seven keywords costs more than the formulas
+    return ConstraintReport(vcp, vg, ratio, mag, min_sep, not reasons,
+                            tuple(reasons))

@@ -116,11 +116,31 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _positive(name, value, problems):
-    if not _finite_number(value):
-        problems.append(f"{name} must be a finite number, got {value!r}")
-    elif value <= 0:
-        problems.append(f"{name} must be > 0, got {value!r}")
+# Each numeric field's range: (lower bound, whether the field may equal it);
+# every one must also be a finite number.  chiM is bounded by that alone.
+_BOUNDS = {name: (0.0, False) for name in (
+    "m1", "m2", "d", "tau", "tauAcc", "dBdx", "radius", "pressure", "tEnv",
+    "mGas")}
+_BOUNDS.update(tInt=(0.0, True), chiM=(-math.inf, False), epsRel=(1.0, False))
+# the bounds reported after every finiteness problem, in this order
+_LAST_BOUNDS = ("epsRel", "tInt")
+
+
+def _range_problems(config: ExperimentConfig) -> list[str]:
+    """A message for each field outside its `_BOUNDS` range, in field order,
+    the bounds of `_LAST_BOUNDS` last."""
+    problems, last = [], {}
+    for name, (lower, closed) in _BOUNDS.items():
+        value = getattr(config, name)
+        if not _finite_number(value):
+            problems.append(f"{name} must be a finite number, got {value!r}")
+        elif not (lower <= value if closed else lower < value):
+            msg = f"{name} must be {'>=' if closed else '>'} {lower:g}, got {value!r}"
+            if name in _LAST_BOUNDS:
+                last[name] = msg
+            else:
+                problems.append(msg)
+    return problems + [last[name] for name in _LAST_BOUNDS if name in last]
 
 
 def validate(config: ExperimentConfig) -> ExperimentConfig:
@@ -134,25 +154,15 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     ``validate(validate(c)) == validate(c)``.
     """
     problems: list[str] = []
-    # a plain float inside its range passes with one comparison; anything
-    # else takes the path that names the problem
-    for name in ("m1", "m2", "d", "tau", "tauAcc", "dBdx", "radius",
-                 "pressure", "tEnv", "mGas"):
+    for name, (lower, closed) in _BOUNDS.items():
         value = getattr(config, name)
-        if not (type(value) is float and 0.0 < value < math.inf):
-            _positive(name, value, problems)
-
-    tInt, chiM, epsRel = config.tInt, config.chiM, config.epsRel
-    if not (type(tInt) is float and 0.0 <= tInt < math.inf
-            and type(chiM) is float and -math.inf < chiM < math.inf
-            and type(epsRel) is float and 1.0 < epsRel < math.inf):
-        for name, v in (("tInt", tInt), ("chiM", chiM), ("epsRel", epsRel)):
-            if not _finite_number(v):
-                problems.append(f"{name} must be a finite number, got {v!r}")
-        if _finite_number(epsRel) and epsRel <= 1:
-            problems.append(f"epsRel must be > 1, got {epsRel!r}")
-        if _finite_number(tInt) and tInt < 0:
-            problems.append(f"tInt must be >= 0, got {tInt!r}")
+        # a plain float inside its range passes with one chained test; at
+        # the first field that does not, every field is checked for its
+        # message
+        if not (type(value) is float and value < math.inf
+                and (lower <= value if closed else lower < value)):
+            problems = _range_problems(config)
+            break
 
     if problems:
         raise ConfigError("; ".join(problems))
@@ -233,11 +243,11 @@ def config_to_json(config: ExperimentConfig) -> str:
 
 def _elementwise(fn):
     """``fn`` on a number, and elementwise with the same ``fn`` on a float
-    array, with nan where it raises OverflowError so that every number
-    computed from it is nan too."""
+    array, with nan where it raises OverflowError (on a number too) so that
+    every number computed from it is nan too."""
     def apply(x, *args):
         if not isinstance(x, np.ndarray):
-            return fn(x, *args)
+            return _or_nan(fn, x, *args)
         values = x.ravel().tolist()
         try:
             out = [fn(v, *args) for v in values]
@@ -255,9 +265,10 @@ def _or_nan(fn, *args) -> float:
 
 
 def _divide(a, b):
-    if b == 0.0:
+    try:
+        return a / b
+    except ZeroDivisionError:
         return math.inf if a > 0.0 else 0.0
-    return a / b
 
 
 def _divide_arrays(a, b):

@@ -104,29 +104,39 @@ def thermal_wavelength(temperature: float, ops: Ops = FLOAT_OPS) -> float:
                       CONSTANTS.kB * temperature)
 
 
+def _photon_guard(config: ExperimentConfig, temp: float, ops: Ops):
+    """Where dx is not well below the thermal wavelength at ``temp``, as the
+    long-wavelength rates need; with `FLOAT_OPS` it raises there."""
+    wavelength = thermal_wavelength(temp, ops)
+    hot = config.dx > wavelength / _REGIME_MARGIN
+    if ops.checked and hot:
+        raise RegimeError(
+            f"long-wavelength photon regime needs dx << thermal wavelength: "
+            f"dx={config.dx:g} m vs {wavelength:g} m at {temp:g} K"
+        )
+    return hot
+
+
 def _photons(config: ExperimentConfig, ops: Ops):
     """The core of `thermal_rates`: where a long-wavelength guard fires,
-    and the three rates.  Where kB T is 0 there are no photons: the guard
-    holds and the rate is 0."""
+    and the (scattering, emission, absorption) rates.  Where kB T is 0
+    there are no photons: the guard holds and the rate is 0.  The guard at
+    tInt is checked after the scattering rate is computed, so with
+    `FLOAT_OPS` an overflow there raises first, as it always has."""
     dielec = dielectric_factor(config.epsRel, ops)
     hc = CONSTANTS.hbar * CONSTANTS.c
-    fired, rates = False, []
-    for temp, coeff, r_pow, kt_pow in ((config.tEnv, _C_SCATTER, 6, 9),
-                                       (config.tInt, _C_PLANCK, 3, 6),
-                                       (config.tEnv, _C_PLANCK, 3, 6)):
-        wavelength = thermal_wavelength(temp, ops)
-        hot = config.dx > wavelength / _REGIME_MARGIN
-        if ops.checked and hot:
-            raise RegimeError(
-                f"long-wavelength photon regime needs dx << thermal wavelength: "
-                f"dx={config.dx:g} m vs {wavelength:g} m at {temp:g} K"
-            )
-        fired = fired | hot
-        kt = CONSTANTS.kB * temp / hc
-        lam = (coeff * CONSTANTS.c * ops.pow(config.radius, r_pow)
-               * ops.pow(kt, kt_pow) * dielec)
-        rates.append(lam * ops.pow(config.dx, 2))
-    return fired, tuple(rates)
+    fired = _photon_guard(config, config.tEnv, ops)
+    kt_env = CONSTANTS.kB * config.tEnv / hc
+    lam_sc = (_C_SCATTER * CONSTANTS.c * ops.pow(config.radius, 6)
+              * ops.pow(kt_env, 9) * dielec)
+    dx2 = ops.pow(config.dx, 2)
+    fired = fired | _photon_guard(config, config.tInt, ops)
+    planck = _C_PLANCK * CONSTANTS.c * ops.pow(config.radius, 3)
+    return fired, (
+        lam_sc * dx2,
+        planck * ops.pow(CONSTANTS.kB * config.tInt / hc, 6) * dielec * dx2,
+        planck * ops.pow(kt_env, 6) * dielec * dx2,
+    )
 
 
 def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
@@ -136,29 +146,26 @@ def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
 
 
 def _budget(config: ExperimentConfig, ops: Ops):
-    """The core of `dephasing_budget`: where a regime guard fires, and the
-    DecoherenceRates (of arrays, with ``ops=ARRAY_OPS``).
+    """The core of `dephasing_budget`: where the collisional guard fires,
+    1/(n vbar pi R^2) as `collisional_time` gives it, where any guard fires,
+    and the DecoherenceRates (of arrays, with ``ops=ARRAY_OPS``).
 
     With `FLOAT_OPS` the first guard to fire raises RegimeError, in the
-    order the rates are computed: collisions, then each photon rate.
-    Arrays hold validated configurations, whose pressure is > 0.
+    order the rates are computed: collisions, then photons.  Arrays hold
+    validated configurations, whose pressure is > 0.
     """
     if ops.checked and config.pressure == 0.0:
-        fired, gamma_coll = False, 0.0         # no gas
+        coll_fired, tau_coll, gamma_coll = False, math.inf, 0.0   # no gas
     else:
-        fired, tau_coll = _collisions(config, ops)
+        coll_fired, tau_coll = _collisions(config, ops)
         gamma_coll = 1.0 / tau_coll
     photons_fired, (g_sc, g_em, g_abs) = _photons(config, ops)
     total_rate = gamma_coll + g_sc + g_em + g_abs
     p = 1.0 - ops.exp(-total_rate * experiment_duration(config))
-    return fired | photons_fired, DecoherenceRates(
-        gammaColl=gamma_coll,
-        gammaSc=g_sc,
-        gammaEm=g_em,
-        gammaAbs=g_abs,
-        tauColl=ops.divide(1.0, gamma_coll),
-        totalDephasing=p,
-    )
+    # in field order; passing six keywords costs more than the formulas
+    rates = DecoherenceRates(gamma_coll, g_sc, g_em, g_abs,
+                             ops.divide(1.0, gamma_coll), p)
+    return coll_fired, tau_coll, coll_fired | photons_fired, rates
 
 
 def dephasing_budget(config: ExperimentConfig) -> DecoherenceRates:
@@ -170,4 +177,4 @@ def dephasing_budget(config: ExperimentConfig) -> DecoherenceRates:
     `sweep.evaluate`).  The numbers come from `_budget`, which the batched
     sweep calls on arrays.
     """
-    return _budget(config, FLOAT_OPS)[1]
+    return _budget(config, FLOAT_OPS)[3]

@@ -208,8 +208,9 @@ def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
 def _config(fields: dict, overrides: dict) -> ExperimentConfig:
     """``dataclasses.replace(base, **overrides)`` for ``fields = vars(base)``,
     built by one dict update: replace scans the fields and runs the keyword
-    ``__init__`` on every call, and ExperimentConfig has no
-    ``__post_init__`` that this skips."""
+    ``__init__`` on every call, which shows in a sweep's end-to-end time.
+    ExperimentConfig has no ``__post_init__``, slots or init-only fields
+    that this skips; a test holds it to that."""
     config = object.__new__(ExperimentConfig)
     config.__dict__.update(fields, **overrides)
     return config
@@ -277,20 +278,20 @@ def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
     namespace whose fields are arrays or the numbers they share.
 
     The numbers come from the numpy-generic cores of `static_phases`,
-    `feasibility_report` (`constraints._closest_approach`,
-    `decoherence._collisions`) and `dephasing_budget`
-    (`decoherence._budget`).  ``scalar_only`` marks the points where
-    `evaluate` raises or may raise: non-finite phases, a flip probability
-    outside [0, 1], or a non-finite number where a scalar step overflows or
-    divides by zero.  ``regime`` marks the points whose budget is out of
-    its regime; their p is 0.
+    `feasibility_report` (`constraints._closest_approach`) and
+    `dephasing_budget` (`decoherence._budget`, which also gives the
+    collisional numbers `feasibility_report` reads).  ``scalar_only`` marks
+    the points where `evaluate` raises or may raise: non-finite phases, a
+    flip probability outside [0, 1], or a non-finite number where a scalar
+    step overflows or divides by zero.  ``regime`` marks the points whose
+    budget is out of its regime; their p is 0.
     """
     with np.errstate(all="ignore"):
         phases = static_phases(batch)
         _, _, cp_ratio, mag_ratio = constraints._closest_approach(
             batch, 0.0, ARRAY_OPS)
-        coll_fired, tau_coll = decoherence._collisions(batch, ARRAY_OPS)
-        regime, budget = decoherence._budget(batch, ARRAY_OPS)
+        coll_fired, tau_coll, regime, budget = decoherence._budget(
+            batch, ARRAY_OPS)
         duration = decoherence.experiment_duration(batch)
         p = np.where(regime, 0.0, _flip_probability(budget))
         rates_finite = (np.isfinite(budget.gammaColl) & np.isfinite(budget.gammaSc)
@@ -320,7 +321,8 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     Reason text is formatted only for the rows that fail a check, and a
     regime guard's message comes from `dephasing_budget` on its row.  A
     point where the scalar pipeline raises or may raise is handed to the
-    scalar pipeline in row order, so the sweep raises what the scalar sweep
+    scalar pipeline in row order, as is every point when a number they all
+    share divides by zero, so the sweep raises what the scalar sweep
     raises.
     """
     names = [axis.name for axis in spec.axes]
@@ -344,7 +346,14 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
         name: np.array([getattr(cfg, name) for _, cfg in valid], dtype=float)
         for name in varying}})
     n = len(valid)
-    st = _stacked(batch)
+    try:
+        st = _stacked(batch)
+    except ArithmeticError:
+        # a number every point shares is a float, and divides by zero; the
+        # scalar pipeline raises that, or what the first point raises before
+        for i, cfg in valid:
+            rows[i] = _valid_row(cfg, spec, grid[i])
+        return rows
     dPhiLR, dPhiRL, p = (np.broadcast_to(x, (n,)) for x in
                          (st.dPhiLR, st.dPhiRL, st.p))
     with np.errstate(all="ignore"):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from gravwitness import constraints, decoherence, sweep
 from gravwitness.constraints import feasibility_report
 from gravwitness.core import (ARRAY_OPS, ConfigConsistencyWarning, ConfigError,
-                              RegimeError, load_config, paper_defaults,
-                              validate)
+                              ExperimentConfig, RegimeError, load_config,
+                              paper_defaults, validate)
 from gravwitness.decoherence import collisional_time, dephasing_budget
 from gravwitness.gravphase import static_phases
 from gravwitness.spinstate import TwoQubitState, negativity
@@ -292,6 +292,13 @@ def _kinematic_unequal(paper_config):
     return dataclasses.replace(paper_config, dx=None, m2=2e-14)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as err:        # compared by the caller
+        return None, err
+
+
 def _scalar_rows(spec, base):
     names = [a.name for a in spec.axes]
     return [_evaluate_point(base, spec, dict(zip(names, map(float, combo))))
@@ -443,6 +450,20 @@ def test_warmer_gas_at_fixed_pressure_decoheres_less(paper_config):
     assert warm.tauColl > cold.tauColl
 
 
+def test_point_configs_are_what_replace_builds(paper_config):
+    # sweep._config skips the dataclass __init__, which is sound only while
+    # ExperimentConfig's __init__ just stores its fields
+    assert not hasattr(ExperimentConfig, "__post_init__")
+    assert not hasattr(ExperimentConfig, "__slots__")
+    assert all(f.init and f.default is dataclasses.MISSING
+               for f in dataclasses.fields(ExperimentConfig))
+    overrides = {"tau": 2, "dx": None, "tEnv": 1e-3}
+    built = sweep._config(vars(paper_config), overrides)
+    want = dataclasses.replace(paper_config, **overrides)
+    assert built == want and vars(built) == vars(want)
+    assert hash(built) == hash(want)
+
+
 def test_sweep_from_a_json_config_with_integer_fields(tmp_path, paper_config):
     # a hand-written config file holds ints where floats are meant
     path = tmp_path / "cfg.json"
@@ -458,6 +479,34 @@ def test_sweep_from_a_json_config_with_integer_fields(tmp_path, paper_config):
         assert [repr(r) for r in rows] == \
             [repr(r) for r in _scalar_rows(spec, base)]
         assert any(r.feasible for r in rows)
+
+
+@pytest.mark.parametrize("fields", [
+    # the photon guard fires at tEnv, where kT**9 would overflow
+    dict(tEnv=1e32),
+    # and at tInt, where kT**6 would
+    dict(tInt=1e49),
+    # n vbar pi R^2 overflows, and the budget's 1/tauColl divides by zero
+    dict(pressure=1e300),
+    # G m1 m2 underflows to 0, and cpRatio divides by zero
+    dict(m1=1e-150, m2=1e-170),
+    # and radius**6 overflows first, which the scalar path raises
+    dict(m1=1e-150, m2=1e-170, radius=1e52, d=3e52),
+])
+def test_sweep_equals_the_scalar_sweep_where_a_shared_number_fails(
+        paper_config, fields):
+    # every point shares the failing number, which the batch computes once
+    base = dataclasses.replace(paper_config, **fields)
+    for objective in OBJECTIVES:
+        spec = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 4),),
+                         objective=objective)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConfigConsistencyWarning)
+            want, want_err = _outcome(_scalar_rows, spec, base)
+        rows, err = _outcome(run_sweep, spec, base)
+        assert repr(err) == repr(want_err)
+        if want_err is None:
+            assert [repr(r) for r in rows.rows] == [repr(r) for r in want]
 
 
 @pytest.mark.parametrize("axis, fields, error", [
@@ -494,11 +543,14 @@ _FIELD_VALUES = {
     "dx": st.floats(1e-9, 6e-4),            # collisional guard below ~2e-8
     "pressure": st.one_of(st.floats(-30.0, -10.0).map(lambda e: 10.0 ** e),
                           st.integers(1, 3)),
-    # thermal guard when hot; kB T underflows to 0 at the last two
+    # thermal guard when hot; kB T underflows to 0 at 1e-310 and 5e-324;
+    # at 1e32 the guard fires where kT**9 would overflow
     "tEnv": st.one_of(st.floats(-7.0, 2.5).map(lambda e: 10.0 ** e),
-                      st.integers(1, 300), st.sampled_from([1e-310, 5e-324])),
+                      st.integers(1, 300),
+                      st.sampled_from([1e-310, 5e-324, 1e32])),
+    # at 1e49 the guard fires where kT**6 would overflow
     "tInt": st.one_of(st.just(0), st.just(0.0), st.floats(0.0, 30.0),
-                      st.just(1e-310)),
+                      st.sampled_from([1e-310, 1e49])),
     "radius": st.floats(1e-7, 5e-6),
     "epsRel": st.one_of(st.floats(1.5, 10.0), st.integers(2, 10)),
     "m1": st.floats(1e-15, 1e-13),
@@ -508,8 +560,9 @@ _FIELD_VALUES = {
 @st.composite
 def batches(draw):
     """A base configuration and validated points that differ from it in a
-    few fields, as a grid's points do; at ``huge``, radius**6 / r**7
-    overflows."""
+    few fields, as a grid's points do; a field no point varies is a number
+    shared by the batch.  At ``huge``, radius**6 / r**7 overflows, with d
+    varied or shared."""
     huge = draw(st.booleans()) and draw(st.booleans())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
@@ -520,8 +573,10 @@ def batches(draw):
     names = draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), min_size=1,
                           max_size=4, unique=True))
     if huge:
-        base = dataclasses.replace(base, radius=1e45)
-        names = ["d"] + [name for name in names if name not in ("d", "radius")]
+        base = dataclasses.replace(base, radius=1e45, d=1.5e46)
+        names = [name for name in names if name not in ("d", "radius")]
+        if draw(st.booleans()):
+            names.insert(0, "d")
     points = []
     for _ in range(draw(st.integers(1, 6))):
         values = {name: draw(st.floats(1e46, 2e46) if huge and name == "d"
@@ -534,13 +589,6 @@ def batches(draw):
             pass
     assume(points)
     return base, names, points
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args), None
-    except Exception as err:        # compared by the caller
-        return None, err
 
 
 @given(batch=batches(), target=st.floats(0.01, 10.0),
@@ -559,9 +607,8 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
     with np.errstate(all="ignore"):
         report = [column(x) for x in
                   constraints._closest_approach(arrays, 0.0, ARRAY_OPS)]
-        fired, tau = map(column, decoherence._collisions(arrays, ARRAY_OPS))
-        regime, rates = decoherence._budget(arrays, ARRAY_OPS)
-    regime = column(regime)
+        fired, tau, regime, rates = decoherence._budget(arrays, ARRAY_OPS)
+    fired, tau, regime = map(column, (fired, tau, regime))
     rates = {f.name: column(getattr(rates, f.name))
              for f in dataclasses.fields(rates)}
     duration = column(decoherence.experiment_duration(arrays))
