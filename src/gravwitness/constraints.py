@@ -111,22 +111,32 @@ def _closest_approach(config: ExperimentConfig, bResidual: float, ops: Ops):
     return vcp, vg, ratio, _dipole_energy(config, bResidual, r, ops) / vg
 
 
+def _failing(cpRatio, magRatio, targetRatio, tauColl, tauCollFactor,
+             duration):
+    """Which checks fail, in `_reasons` order: Casimir-Polder and magnetic
+    coupling above ``targetRatio`` of gravity, and collisional coherence
+    shorter than ``tauCollFactor`` times the drop ``duration``.  Numbers
+    give bools and arrays give masks."""
+    return (cpRatio > targetRatio, magRatio > targetRatio,
+            tauColl < tauCollFactor * duration)
+
+
 def _reasons(cpRatio: float, magRatio: float, targetRatio: float,
              tauColl: float, tauCollFactor: float, duration: float,
              regimeError: str = "") -> list[str]:
-    """Why a configuration is infeasible: Casimir-Polder or magnetic
-    coupling above ``targetRatio`` of gravity, or collisional coherence
-    shorter than ``tauCollFactor`` times the drop ``duration``.
-    ``regimeError`` is the collisional guard's message when it fired, and
-    ``tauColl`` is then unused."""
+    """Why a configuration is infeasible: the text of each check `_failing`
+    finds failing.  ``regimeError`` is the collisional guard's message when
+    it fired, and ``tauColl`` is then unused."""
+    cp, mag, coll = _failing(cpRatio, magRatio, targetRatio, tauColl,
+                             tauCollFactor, duration)
     reasons = []
-    if cpRatio > targetRatio:
+    if cp:
         reasons.append(f"cpRatio {cpRatio:.3g} > {targetRatio:g}")
-    if magRatio > targetRatio:
+    if mag:
         reasons.append(f"magRatio {magRatio:.3g} > {targetRatio:g}")
     if regimeError:
         reasons.append(f"decoherence regime: {regimeError}")
-    elif tauColl < tauCollFactor * duration:
+    elif coll:
         reasons.append(f"tauColl {tauColl:.3g} s < {tauCollFactor:g} x "
                        f"experiment duration {duration:.3g} s")
     return reasons

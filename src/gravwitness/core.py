@@ -168,7 +168,7 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("; ".join(problems))
 
     try:
-        dx_kinematic = superposition_size(config.dBdx, config.tauAcc, config.m1)
+        dx_kinematic = _kinematic_split(config.dBdx, config.tauAcc, config.m1)
     except OverflowError:
         raise ConfigError(f"kinematic dx overflows: dBdx={config.dBdx!r}, "
                           f"tauAcc={config.tauAcc!r}, m1={config.m1!r}") from None
@@ -307,4 +307,4 @@ ARRAY_OPS = Ops(pow=_elementwise(pow), exp=_elementwise(math.exp),
 
 
 # gravphase imports this module, so its name is bound last
-from .gravphase import superposition_size  # noqa: E402
+from .gravphase import _kinematic_split  # noqa: E402

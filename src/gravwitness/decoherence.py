@@ -38,7 +38,7 @@ class DecoherenceRates:
     gammaEm: float          # photon emission localization, 1/s
     gammaAbs: float         # photon absorption localization, 1/s
     tauColl: float          # 1/gammaColl, s
-    totalDephasing: float   # 1 - exp(-Gamma_total T_exp): coherence lost, in [0, 1)
+    totalDephasing: float   # 1 - exp(-Gamma_total T_exp): coherence lost, in [0, 1]
 
 
 def experiment_duration(config: ExperimentConfig) -> float:
@@ -158,7 +158,8 @@ def _budget(config: ExperimentConfig, ops: Ops):
         coll_fired, tau_coll, gamma_coll = False, math.inf, 0.0   # no gas
     else:
         coll_fired, tau_coll = _collisions(config, ops)
-        gamma_coll = 1.0 / tau_coll
+        # inf where n vbar pi R^2 overflows and tau_coll is 0
+        gamma_coll = ops.divide(1.0, tau_coll)
     photons_fired, (g_sc, g_em, g_abs) = _photons(config, ops)
     total_rate = gamma_coll + g_sc + g_em + g_abs
     p = 1.0 - ops.exp(-total_rate * experiment_duration(config))

@@ -35,15 +35,22 @@ class PhaseSet:
 
     @classmethod
     def from_branch_phases(cls, phiLL, phiLR, phiRL, phiRR) -> "PhaseSet":
-        return cls(
-            phiLL=phiLL,
-            phiRR=phiRR,
-            phiLR=phiLR,
-            phiRL=phiRL,
-            dPhiLR=phiLR - phiLL,
-            dPhiRL=phiRL - phiLL,
-            phiRef=phiLL,
-        )
+        # in field order; passing seven keywords costs more than the formulas
+        return cls(phiLL, phiRR, phiLR, phiRL, phiLR - phiLL, phiRL - phiLL,
+                   phiLL)
+
+
+def _positions(d, dx):
+    """Mass 1's L and R positions, then mass 2's: -dx/2, +dx/2 around 0
+    and d - dx/2, d + dx/2 around d.  Numbers or arrays."""
+    return -dx / 2, +dx / 2, d - dx / 2, d + dx / 2
+
+
+def _separations(d, dx):
+    """The branch separations |x2 - x1| in `BRANCHES` order, from
+    `_positions`.  Numbers or arrays."""
+    x1l, x1r, x2l, x2r = _positions(d, dx)
+    return abs(x2l - x1l), abs(x2r - x1l), abs(x2l - x1r), abs(x2r - x1r)
 
 
 def branch_positions(config: ExperimentConfig) -> dict[str, tuple[float, float]]:
@@ -52,27 +59,22 @@ def branch_positions(config: ExperimentConfig) -> dict[str, tuple[float, float]]
     Mass 1 is centred at 0, mass 2 at d; the L/R components sit at -dx/2 and
     +dx/2 around each centre.
     """
-    dx = config.dx
-    x1 = {"L": -dx / 2, "R": +dx / 2}
-    x2 = {"L": config.d - dx / 2, "R": config.d + dx / 2}
+    x1l, x1r, x2l, x2r = _positions(config.d, config.dx)
+    x1, x2 = {"L": x1l, "R": x1r}, {"L": x2l, "R": x2r}
     return {b: (x1[b[0]], x2[b[1]]) for b in BRANCHES}
 
 
 def pairwise_separations(config: ExperimentConfig) -> dict[str, float]:
     """Branch separations {LL: d, LR: d+dx, RL: d-dx, RR: d}."""
-    return {b: abs(x2 - x1) for b, (x1, x2) in branch_positions(config).items()}
+    return dict(zip(BRANCHES, _separations(config.d, config.dx)))
 
 
 def static_phases(config: ExperimentConfig) -> PhaseSet:
-    """Hold-stage phases phi_b = G m1 m2 tau / (hbar r_b) per branch."""
+    """Hold-stage phases phi_b = G m1 m2 tau / (hbar r_b) per branch.
+    Numpy-generic: a configuration of arrays gives a PhaseSet of arrays."""
     k = CONSTANTS.G * config.m1 * config.m2 * config.tau / CONSTANTS.hbar
-    seps = pairwise_separations(config)
-    return PhaseSet.from_branch_phases(
-        phiLL=k / seps["LL"],
-        phiLR=k / seps["LR"],
-        phiRL=k / seps["RL"],
-        phiRR=k / seps["RR"],
-    )
+    ll, lr, rl, rr = _separations(config.d, config.dx)
+    return PhaseSet.from_branch_phases(k / ll, k / lr, k / rl, k / rr)
 
 
 def small_split_phase(config: ExperimentConfig) -> float:
@@ -98,6 +100,12 @@ def superposition_size(dBdx: float, tauAcc: float, m: float) -> float:
             raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
     if m == 0:
         raise ValueError("m must be positive")
+    return _kinematic_split(dBdx, tauAcc, m)
+
+
+def _kinematic_split(dBdx: float, tauAcc: float, m: float) -> float:
+    """`superposition_size` of inputs already checked; `core.validate`
+    calls it directly."""
     return 0.5 * (CONSTANTS.gE * CONSTANTS.muB * dBdx / m) * tauAcc**2
 
 

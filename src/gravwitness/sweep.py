@@ -6,10 +6,13 @@ valid points every number is computed as arrays, by the numpy-generic
 cores the scalar `feasibility_report` and `dephasing_budget` call, so no
 formula has a second copy here.  The witness objectives read the
 closed-form dephased <XZ>, <YZ> and build no spin state; the negativity
-objective builds and checks the noiseless and dephased states of every row
-outside the decoherence regime errors.  A deterministic coordinate-descent
-with golden-section line searches refines the best feasible grid point.
-Rows are emitted in row-major axis order and runs are bit-reproducible.
+objective builds and checks the noiseless and dephased states of every
+point whose objective it computes.  `run_sweep` builds a row at every
+point.  `maximize` scans the same arrays for the best feasible point,
+computes the objective only at feasible points, builds that one row, and
+refines it by a deterministic coordinate descent with golden-section line
+searches.  Rows are emitted in row-major axis order and runs are
+bit-reproducible.
 `evaluate`, the one scalar pipeline to the dephased spin state, serves the
 CLI `witness` and the line searches, and is the oracle every grid row
 equals bit for bit.
@@ -221,7 +224,7 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
     try:
         cfg = validate(_config(vars(base), overrides))
     except ConfigError as err:
-        return _invalid_row(overrides, err)
+        return _invalid_row(overrides, str(err))
     return _valid_row(cfg, spec, overrides)
 
 
@@ -240,11 +243,12 @@ def _valid_row(cfg: ExperimentConfig, spec: SweepSpec,
                 ev.regimeError, obj)
 
 
-def _invalid_row(overrides: dict[str, float], err: ConfigError) -> SweepRow:
+def _invalid_row(overrides: dict[str, float], error: str) -> SweepRow:
+    """The row of a configuration `validate` rejects with ``error``."""
     nan = math.nan
     return SweepRow(params=dict(overrides), dPhiLR=nan, dPhiRL=nan,
                     objective=nan, cpRatio=nan, tauColl=nan, feasible=False,
-                    reason=f"invalid config: {err}")
+                    reason=f"invalid config: {error}")
 
 
 def _row(overrides: dict[str, float], dPhiLR: float, dPhiRL: float,
@@ -307,37 +311,38 @@ def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
         budgetTauColl=budget.tauColl, p=p, scalar_only=scalar_only)
 
 
-def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
-    """`_evaluate_point` at every grid point, each row equal to the scalar
-    one, with every number computed on arrays.
+# `_stacked`'s numbers of each point; ``scalar_only`` is the mask beside them
+_COLUMNS = ("dPhiLR", "dPhiRL", "cpRatio", "magRatio", "collisionsFired",
+            "tauColl", "duration", "regime", "budgetTauColl", "p")
 
-    Per point, `validate` runs as in `_evaluate_point`.  Over the valid
-    points, `_stacked` computes the phases, the feasibility numbers and the
-    decoherence budget with the numpy-generic cores the scalar functions
-    call, then the closed-form dephased <XZ>, <YZ> and, for the negativity
-    objective only, the noiseless and dephased density matrices; a row
-    outside the regime errors then checks its two matrices by
-    `TwoQubitState` as `entangled_state` and `apply_dephasing` would.
-    Reason text is formatted only for the rows that fail a check, and a
-    regime guard's message comes from `dephasing_budget` on its row.  A
-    point where the scalar pipeline raises or may raise is handed to the
-    scalar pipeline in row order, as is every point when a number they all
-    share divides by zero, so the sweep raises what the scalar sweep
-    raises.
+
+def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
+    """The stage `run_sweep` and `maximize` share: every grid point
+    validated, and the numbers of the valid points as arrays.
+
+    ``grid`` holds each point's overrides in row-major order; ``invalid``
+    the (grid index, ConfigError message) of the points `validate` rejects
+    (the message only: a kept exception's traceback holds this frame), and
+    ``valid`` the (grid index, validated configuration) of the others.
+    Over the valid points, `_stacked` computes the phases, the feasibility
+    numbers and the decoherence budget with the numpy-generic cores the
+    scalar functions call, one array entry a point (`_COLUMNS`); then come
+    the closed-form dephased ``cxz``, ``cyz`` and two masks.  ``scalar``
+    marks the points to hand to the scalar pipeline: those where it raises
+    or may raise, or every point when a number they all share divides by
+    zero.  ``feasible`` marks the other points that are in regime and
+    pass every check of `constraints._failing`.
     """
     names = [axis.name for axis in spec.axes]
     fields = vars(base)
     grid = [dict(zip(names, combo)) for combo in
             itertools.product(*(axis.values().tolist() for axis in spec.axes))]
-    rows: list[SweepRow | None] = [None] * len(grid)
-    valid = []          # (grid index, validated configuration)
+    invalid, valid = [], []
     for i, overrides in enumerate(grid):
         try:
             valid.append((i, validate(_config(fields, overrides))))
         except ConfigError as err:
-            rows[i] = _invalid_row(overrides, err)
-    if not valid:
-        return rows
+            invalid.append((i, str(err)))
 
     # the axes vary, and dx where `validate` derives it; every other field
     # is the base's own number
@@ -345,49 +350,125 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     batch = SimpleNamespace(**{**fields, **{
         name: np.array([getattr(cfg, name) for _, cfg in valid], dtype=float)
         for name in varying}})
-    n = len(valid)
     try:
         st = _stacked(batch)
     except ArithmeticError:
         # a number every point shares is a float, and divides by zero; the
         # scalar pipeline raises that, or what the first point raises before
-        for i, cfg in valid:
-            rows[i] = _valid_row(cfg, spec, grid[i])
-        return rows
-    dPhiLR, dPhiRL, p = (np.broadcast_to(x, (n,)) for x in
-                         (st.dPhiLR, st.dPhiRL, st.p))
+        st = SimpleNamespace(**dict.fromkeys(_COLUMNS, math.nan))
+        st.collisionsFired = st.regime = False
+        st.scalar_only = True
+    n = len(valid)
+    points = SimpleNamespace(grid=grid, invalid=invalid, valid=valid, **{
+        name: np.broadcast_to(getattr(st, name), (n,)) for name in _COLUMNS})
+    points.scalar = np.broadcast_to(st.scalar_only, (n,))
     with np.errstate(all="ignore"):
-        correlators = np.stack(spinstate.dephased_correlators(dPhiLR, dPhiRL, p),
-                               axis=1).tolist()
-        if spec.objective == "negativity":
-            pure = spinstate._pure_rho(dPhiLR, dPhiRL)
+        points.cxz, points.cyz = spinstate.dephased_correlators(
+            points.dPhiLR, points.dPhiRL, points.p)
+        cp, mag, coll = constraints._failing(
+            points.cpRatio, points.magRatio, spec.cpRatioMax, points.tauColl,
+            spec.requireTauCollOver, points.duration)
+    points.feasible = ~(points.scalar | points.regime | cp | mag | coll)
+    return points
+
+
+def _objectives(spec: SweepSpec, points: SimpleNamespace,
+                index: np.ndarray) -> list[float]:
+    """The objective at the `_grid_points` entries ``index``, none of them
+    scalar or out of regime, each equal to `_valid_row`'s.  For the
+    negativity objective each point's noiseless and dephased density
+    matrices are built as stacks, and checked by `TwoQubitState` as
+    `entangled_state` and `apply_dephasing` would; the witness objectives
+    read only the correlators."""
+    correlators = zip(points.cxz[index].tolist(), points.cyz[index].tolist())
+    if spec.objective == "negativity":
+        with np.errstate(all="ignore"):
+            pure = spinstate._pure_rho(points.dPhiLR[index],
+                                       points.dPhiRL[index])
+            p = points.p[index]
             dephased = pure * spinstate._dephasing_factors(p, p)
 
-    def dephased_state(j: int) -> spinstate.TwoQubitState:
-        spinstate.TwoQubitState(pure[j])        # as `entangled_state` checks it
-        return spinstate.TwoQubitState(dephased[j])
+    def dephased_state(k: int) -> spinstate.TwoQubitState:
+        spinstate.TwoQubitState(pure[k])        # as `entangled_state` checks it
+        return spinstate.TwoQubitState(dephased[k])
 
-    columns = zip(*(np.broadcast_to(x, (n,)).tolist() for x in (
-        dPhiLR, dPhiRL, st.cpRatio, st.magRatio, st.collisionsFired,
-        st.tauColl, st.duration, st.regime, st.budgetTauColl,
-        st.scalar_only)))
-    for j, ((i, cfg), column) in enumerate(zip(valid, columns)):
-        (dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired, tau_coll,
-         duration, regime, budget_tau_coll, scalar_only) = column
-        regime_error = "" if scalar_only or not regime else _regime_error(cfg)
-        if scalar_only or regime_error is None:
+    return [_objective_value(spec.objective, cxz, cyz,
+                             lambda: dephased_state(k))
+            for k, (cxz, cyz) in enumerate(correlators)]
+
+
+def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
+    """`_evaluate_point` at every grid point, each row equal to the scalar
+    one, built from `_grid_points`.
+
+    The objective comes from `_objectives` at every point in regime.
+    Reason text is formatted only for the rows that fail a check, and a
+    regime guard's message comes from `dephasing_budget` on its row.  The
+    ``scalar`` points go to the scalar pipeline in row order, so the sweep
+    raises what the scalar sweep raises.
+    """
+    points = _grid_points(spec, base)
+    grid = points.grid
+    rows: list[SweepRow | None] = [None] * len(grid)
+    for i, error in points.invalid:
+        rows[i] = _invalid_row(grid[i], error)
+    objectives = [math.nan] * len(points.valid)
+    index = np.flatnonzero(~(points.scalar | points.regime))
+    for j, value in zip(index.tolist(), _objectives(spec, points, index)):
+        objectives[j] = value
+
+    columns = zip(points.valid, objectives, *(x.tolist() for x in (
+        points.dPhiLR, points.dPhiRL, points.cpRatio, points.magRatio,
+        points.collisionsFired, points.tauColl, points.duration,
+        points.regime, points.budgetTauColl, points.scalar, points.feasible)))
+    for ((i, cfg), obj, dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired,
+         tau_coll, duration, regime, budget_tau_coll, scalar,
+         feasible) in columns:
+        regime_error = "" if scalar or not regime else _regime_error(cfg)
+        if scalar or regime_error is None:
             rows[i] = _valid_row(cfg, spec, grid[i])
             continue
-        reasons = constraints._reasons(
+        reasons = () if feasible else constraints._reasons(
             cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
             spec.requireTauCollOver, duration,
             regime_error if coll_fired else "")
-        obj = math.nan if regime else _objective_value(
-            spec.objective, *correlators[j], lambda: dephased_state(j))
         rows[i] = _row(grid[i], dphi_lr, dphi_rl, cp_ratio, reasons,
                        math.nan if regime else budget_tau_coll, regime_error,
                        obj)
     return rows
+
+
+def _start_row(spec: SweepSpec, base: ExperimentConfig) -> SweepRow:
+    """The row `maximize` starts from: the first row of `run_sweep` whose
+    objective is the largest among its feasible rows with finite
+    objectives, and the only row built.
+
+    From `_grid_points` it scans just the ``feasible`` and the ``scalar``
+    points, in row order: the objective is computed at the feasible points
+    only, and a scalar point goes to `_valid_row`, so the scan raises what
+    `run_sweep` raises.  Raises ValueError when no row qualifies.
+    """
+    points = _grid_points(spec, base)
+    feasible = np.flatnonzero(points.feasible)
+    values = dict(zip(feasible.tolist(), _objectives(spec, points, feasible)))
+    best, best_row, best_value = None, None, -math.inf
+    for j in np.flatnonzero(points.scalar | points.feasible).tolist():
+        row = None
+        if j in values:
+            value = values[j]
+        else:
+            i, cfg = points.valid[j]
+            row = _valid_row(cfg, spec, points.grid[i])
+            value = row.objective if row.feasible else math.nan
+        if math.isfinite(value) and value > best_value:
+            best, best_row, best_value = j, row, value
+    if best is None:
+        raise ValueError("no feasible grid point to start from")
+    if best_row is not None:
+        return best_row
+    return _row(points.grid[points.valid[best][0]], points.dPhiLR[best].item(),
+                points.dPhiRL[best].item(), points.cpRatio[best].item(), (),
+                points.budgetTauColl[best].item(), "", best_value)
 
 
 def run_sweep(spec: SweepSpec, base_config: ExperimentConfig) -> SweepResult:
@@ -442,22 +523,19 @@ def maximize(spec: SweepSpec,
              base_config: ExperimentConfig) -> tuple[ExperimentConfig, SweepRow]:
     """Best feasible grid point refined by coordinate descent.
 
-    Returns the row that set the incumbent, the best feasible grid row or a
-    line-search row that beat it, so its objective is >= every feasible
-    grid row, and its validated configuration.  Fully deterministic for a
-    fixed spec.
+    The start point is the first `run_sweep` row with the largest finite
+    objective among the feasible rows, found by a scan of the grid's arrays
+    (`_start_row`) that builds that row only.  Returns the row that set the
+    incumbent, the start row or a line-search row that beat it, so its
+    objective is >= every feasible grid row, and its validated
+    configuration.  Raises what `run_sweep` raises, and ValueError when no
+    grid point is feasible.  Fully deterministic for a fixed spec.
     """
-    result = run_sweep(spec, base_config)
-    feasible = [r for r in result.rows
-                if r.feasible and math.isfinite(r.objective)]
-    if not feasible:
-        raise ValueError("no feasible grid point to start from")
-    best = max(feasible, key=lambda r: r.objective)
-
     # a line search through the row it last returned would return it again
     searched = {}       # axis name -> the row its last line search returned
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
+        best = _start_row(spec, base_config)
         for _ in range(_ROUNDS):
             for axis in spec.axes:
                 if searched.get(axis.name) is not best:

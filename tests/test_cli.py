@@ -184,6 +184,24 @@ def test_arithmetic_failures_are_named_errors(capsys, sets, code, message):
         assert out == ""
 
 
+def test_overflowing_collision_rate_is_data(capsys):
+    # n vbar pi R^2 overflows at this pressure: all coherence is lost, and
+    # every command still answers
+    for command in ("decoherence", "witness"):
+        code, out, _ = run_cli(capsys, command, "--paper-defaults",
+                               "--set", "pressure=1e300")
+        assert code == 0
+        assert json.loads(out)["totalDephasing"] == 1.0
+    code, out, _ = run_cli(capsys, "sweep", "--paper-defaults",
+                           "--set", "pressure=1e300", "--axis", "tau:0.5:8:4",
+                           "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4
+    assert all(",0,false,tauColl 0 s < 1 x experiment duration" in row
+               for row in rows)
+
+
 def test_sweep_malformed_axis_no_partial_output(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     code, out, err = run_cli(capsys, "sweep", "--paper-defaults",

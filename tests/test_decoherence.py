@@ -140,6 +140,16 @@ def test_budget_quiet_limit(paper_config):
     assert budget.gammaColl == budget.gammaSc == budget.gammaEm == budget.gammaAbs == 0.0
 
 
+def test_budget_saturates_where_the_collision_rate_overflows(paper_config):
+    # n vbar pi R^2 overflows to inf, so tauColl is 0 and the rate inf
+    dense = dataclasses.replace(paper_config, pressure=1e300)
+    assert collisional_time(dense) == 0.0
+    budget = dephasing_budget(dense)
+    assert budget.gammaColl == math.inf
+    assert budget.tauColl == 0.0
+    assert budget.totalDephasing == 1.0
+
+
 def test_budget_propagates_regime_errors(paper_config):
     hot = dataclasses.replace(paper_config, tEnv=300.0)
     with pytest.raises(RegimeError):

@@ -330,14 +330,16 @@ def test_sweep_rows_equal_scalar_rows_bitwise(paper_config, spec, kinematic):
         assert repr(row) == repr(want)
 
 
+# enough rows that a last-bit slip in exp, pow or an inversion shows
+_DENSE_AXES = (SweepAxis("tau", 0.5, 8.0, 8),
+               SweepAxis("dx", 1e-4, 5.5e-4, 6),
+               SweepAxis("pressure", 1e-17, 1e-12, 5, "log"),
+               SweepAxis("tEnv", 0.05, 20.0, 4, "log"))
+
+
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_sweep_rows_equal_scalar_rows_on_a_dense_grid(paper_config, objective):
-    # enough rows that a last-bit slip in exp, pow or an inversion shows
-    spec = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 8),
-                           SweepAxis("dx", 1e-4, 5.5e-4, 6),
-                           SweepAxis("pressure", 1e-17, 1e-12, 5, "log"),
-                           SweepAxis("tEnv", 0.05, 20.0, 4, "log")),
-                     objective=objective)
+    spec = SweepSpec(axes=_DENSE_AXES, objective=objective)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
         expected = _scalar_rows(spec, paper_config)
@@ -481,18 +483,23 @@ def test_sweep_from_a_json_config_with_integer_fields(tmp_path, paper_config):
         assert any(r.feasible for r in rows)
 
 
-@pytest.mark.parametrize("fields", [
+# base fields every point of a grid shares, where a number computed from
+# them fails
+_SHARED_FAILURES = [
     # the photon guard fires at tEnv, where kT**9 would overflow
     dict(tEnv=1e32),
     # and at tInt, where kT**6 would
     dict(tInt=1e49),
-    # n vbar pi R^2 overflows, and the budget's 1/tauColl divides by zero
+    # n vbar pi R^2 overflows: tauColl is 0 and the budget's rate inf
     dict(pressure=1e300),
     # G m1 m2 underflows to 0, and cpRatio divides by zero
     dict(m1=1e-150, m2=1e-170),
     # and radius**6 overflows first, which the scalar path raises
     dict(m1=1e-150, m2=1e-170, radius=1e52, d=3e52),
-])
+]
+
+
+@pytest.mark.parametrize("fields", _SHARED_FAILURES)
 def test_sweep_equals_the_scalar_sweep_where_a_shared_number_fails(
         paper_config, fields):
     # every point shares the failing number, which the batch computes once
@@ -532,6 +539,82 @@ def test_sweep_raises_what_the_scalar_path_raises(paper_config, axis, fields,
             _scalar_rows(spec, base)
         with pytest.raises(scalar.type, match=error):
             run_sweep(spec, base)
+        # maximize's start grid hands the same points to the scalar pipeline
+        with pytest.raises(scalar.type) as got:
+            maximize(spec, base)
+        assert str(got.value) == str(scalar.value)
+
+
+def _best_row(spec, base):
+    """`maximize`'s start row as `run_sweep` gives it: the first of the
+    feasible rows with finite objectives whose objective is the largest."""
+    feasible = [r for r in run_sweep(spec, base).rows
+                if r.feasible and math.isfinite(r.objective)]
+    if not feasible:
+        raise ValueError("no feasible grid point to start from")
+    return max(feasible, key=lambda r: r.objective)
+
+
+def _check_start_rows(spec, base):
+    for objective in OBJECTIVES:
+        spec = dataclasses.replace(spec, objective=objective)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConfigConsistencyWarning)
+            want, want_err = _outcome(_best_row, spec, base)
+            got, err = _outcome(sweep._start_row, spec, base)
+        assert repr(err) == repr(want_err)
+        assert repr(got) == repr(want)
+
+
+@given(spec=grids(), kinematic=st.booleans())
+# every kind of row, and many feasible rows whose objective is 0
+@example(spec=SweepSpec(axes=_DENSE_AXES), kinematic=False)
+@settings(max_examples=40, deadline=None)
+def test_start_row_is_the_best_sweep_row(paper_config, spec, kinematic):
+    _check_start_rows(spec, _kinematic_unequal(paper_config) if kinematic
+                      else paper_config)
+
+
+@pytest.mark.parametrize("fields", _SHARED_FAILURES)
+def test_start_row_is_the_best_sweep_row_where_a_shared_number_fails(
+        paper_config, fields):
+    _check_start_rows(SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 4),)),
+                      dataclasses.replace(paper_config, **fields))
+
+
+def test_maximize_builds_one_row_from_its_start_grid(paper_config,
+                                                     monkeypatch):
+    # the start grid is scanned as arrays: one row, and no scalar budget
+    # for the messages of the regime rows it passes over
+    spec = SweepSpec(axes=_DENSE_AXES, objective="witnessOptimized")
+    assert any("decoherence regime" in r.reason
+               for r in run_sweep(spec, paper_config).rows)
+    counts = {"rows": 0, "evaluations": 0, "grid budgets": 0}
+    searching = []
+
+    def row(*args, **kwargs):
+        counts["rows"] += 1
+        return SweepRow(*args, **kwargs)
+
+    def evaluate_point(*args):
+        counts["evaluations"] += 1
+        searching.append(True)
+        try:
+            return _evaluate_point(*args)
+        finally:
+            searching.pop()
+
+    def budget(cfg):
+        counts["grid budgets"] += not searching
+        return dephasing_budget(cfg)
+
+    monkeypatch.setattr(sweep, "SweepRow", row)
+    monkeypatch.setattr(sweep, "_evaluate_point", evaluate_point)
+    monkeypatch.setattr(sweep, "dephasing_budget", budget)
+    maximize(spec, paper_config)
+    assert counts["evaluations"] > 0
+    assert counts["rows"] <= 1 + counts["evaluations"]
+    assert counts["grid budgets"] == 0
 
 
 # ------------------------------------- batched cores vs the scalar functions
@@ -605,13 +688,15 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
         return np.broadcast_to(x, (n,)).tolist()
 
     with np.errstate(all="ignore"):
-        report = [column(x) for x in
-                  constraints._closest_approach(arrays, 0.0, ARRAY_OPS)]
+        report = constraints._closest_approach(arrays, 0.0, ARRAY_OPS)
         fired, tau, regime, rates = decoherence._budget(arrays, ARRAY_OPS)
-    fired, tau, regime = map(column, (fired, tau, regime))
+        duration = decoherence.experiment_duration(arrays)
+        failing = [column(x) for x in constraints._failing(
+            report[2], report[3], target, tau, factor, duration)]
+    report = [column(x) for x in report]
+    fired, tau, regime, duration = map(column, (fired, tau, regime, duration))
     rates = {f.name: column(getattr(rates, f.name))
              for f in dataclasses.fields(rates)}
-    duration = column(decoherence.experiment_duration(arrays))
     scalar_only = column(sweep._stacked(arrays).scalar_only)
 
     for j, cfg in enumerate(points):
@@ -634,6 +719,9 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
         assert want_report.reasons == tuple(constraints._reasons(
             got["cpRatio"], got["magRatio"], target, tau[j], factor,
             duration[j], str(tau_err) if fired[j] else ""))
+        # the decision on arrays: a failing check, or the collisional guard
+        assert want_report.feasible == \
+            (not (fired[j] or any(mask[j] for mask in failing)))
         if scalar_only[j]:
             continue
         assert regime[j] == isinstance(rates_err, RegimeError)
@@ -659,11 +747,7 @@ def scalar_calls(monkeypatch):
 
 
 def test_witness_grid_calls_no_scalar_report(paper_config, scalar_calls):
-    spec = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 8),
-                           SweepAxis("dx", 1e-4, 5.5e-4, 6),
-                           SweepAxis("pressure", 1e-17, 1e-12, 5, "log"),
-                           SweepAxis("tEnv", 0.05, 20.0, 4, "log")),
-                     objective="witnessOptimized")
+    spec = SweepSpec(axes=_DENSE_AXES, objective="witnessOptimized")
     rows = run_sweep(spec, paper_config).rows
     regime_rows = sum("decoherence regime" in r.reason for r in rows)
     assert regime_rows > 0
