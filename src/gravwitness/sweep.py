@@ -401,9 +401,8 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     """`_evaluate_point` at every grid point, each row equal to the scalar
     one, built from `_grid_points`.
 
-    The objective comes from `_objectives` at every point in regime.
-    Reason text is formatted only for the rows that fail a check, and a
-    regime guard's message comes from `dephasing_budget` on its row.  The
+    The objective comes from `_objectives` at every point in regime, and
+    a regime guard's message from `dephasing_budget` on its row.  The
     ``scalar`` points go to the scalar pipeline in row order, so the sweep
     raises what the scalar sweep raises.
     """
@@ -420,15 +419,14 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     columns = zip(points.valid, objectives, *(x.tolist() for x in (
         points.dPhiLR, points.dPhiRL, points.cpRatio, points.magRatio,
         points.collisionsFired, points.tauColl, points.duration,
-        points.regime, points.budgetTauColl, points.scalar, points.feasible)))
+        points.regime, points.budgetTauColl, points.scalar)))
     for ((i, cfg), obj, dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired,
-         tau_coll, duration, regime, budget_tau_coll, scalar,
-         feasible) in columns:
+         tau_coll, duration, regime, budget_tau_coll, scalar) in columns:
         regime_error = "" if scalar or not regime else _regime_error(cfg)
         if scalar or regime_error is None:
             rows[i] = _valid_row(cfg, spec, grid[i])
             continue
-        reasons = () if feasible else constraints._reasons(
+        reasons = constraints._reasons(
             cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
             spec.requireTauCollOver, duration,
             regime_error if coll_fired else "")
