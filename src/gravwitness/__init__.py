@@ -10,6 +10,8 @@ the parameter space under Casimir-Polder, magnetic and decoherence
 constraints.
 """
 
+import types
+
 from .core import (CONSTANTS, ConfigConsistencyWarning, ConfigError,
                    ExperimentConfig, M_HELIUM4, PhysicalConstants, RegimeError,
                    config_from_dict, config_to_dict, config_to_json,
@@ -35,28 +37,7 @@ from .sweep import (OBJECTIVES, Evaluation, SweepAxis, SweepResult, SweepRow,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONSTANTS", "ConfigConsistencyWarning", "ConfigError", "ExperimentConfig",
-    "M_HELIUM4", "PhysicalConstants", "RegimeError", "config_from_dict",
-    "config_to_dict", "config_to_json", "load_config", "paper_defaults",
-    "validate",
-    "BRANCHES", "PhaseSet", "branch_positions", "dynamic_phases",
-    "mutual_acceleration", "pairwise_separations", "small_split_phase",
-    "static_phases", "superposition_size",
-    "TwoQubitState", "WitnessResult", "WitnessSettings", "apply_dephasing",
-    "entangled_state", "expectation", "negativity", "optimize_witness",
-    "witness",
-    "BranchDisplacements", "FieldModeSet", "branch_displacement_set",
-    "branch_overlap", "branch_overlaps", "branch_phase", "build_modes",
-    "classicalize", "dephase_branch_basis", "displacements",
-    "modes_for_separation", "newtonian_phase", "reduced_mass_state",
-    "ConstraintReport", "casimir_polder_potential", "cp_ratio",
-    "feasibility_report", "gravitational_potential",
-    "magnetic_interaction_ratio", "min_separation",
-    "DecoherenceRates", "collisional_time", "dephasing_budget",
-    "gas_de_broglie_wavelength", "gas_density", "thermal_rates",
-    "thermal_wavelength",
-    "OBJECTIVES", "Evaluation", "SweepAxis", "SweepResult", "SweepRow",
-    "SweepSpec", "evaluate", "maximize", "run_sweep",
-    "__version__",
-]
+# every public name imported above, and the version
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+__all__.append("__version__")

@@ -17,13 +17,12 @@ import io
 import json
 import math
 import sys
-import warnings
 
 from . import constraints as constraints_mod
 from . import decoherence as decoherence_mod
 from . import gravfield, gravphase, spinstate, sweep as sweep_mod
-from .core import (ConfigConsistencyWarning, ConfigError, ExperimentConfig,
-                   RegimeError, config_from_dict, config_to_dict, load_config,
+from .core import (ConfigError, ExperimentConfig, RegimeError,
+                   _consistency_notes, _read_json, _replaced, config_to_dict,
                    paper_defaults, validate)
 
 
@@ -55,10 +54,29 @@ def _fmt_scalar(value, sig=12):
     return str(value)
 
 
+def _strict_json(payload) -> str:
+    """Strict JSON (RFC 8259), which has no Infinity or NaN: a non-finite
+    number is null, and the object holding it, the payload or a row of a
+    list payload, lists its dotted keys under ``nonFinite``."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        pass
+    rows = []
+    for row in payload if isinstance(payload, list) else [payload]:
+        keys = [key for key, v in _flat_items(row)
+                if isinstance(v, float) and not math.isfinite(v)]
+        rows.append(json.loads(json.dumps(row), parse_constant=lambda _: None))
+        if keys:
+            rows[-1]["nonFinite"] = keys
+    return json.dumps(rows if isinstance(payload, list) else rows[0],
+                      indent=2)
+
+
 def render_payload(payload, fmt: str) -> str:
     """One serialization layer shared by every subcommand."""
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _strict_json(payload) + "\n"
     if isinstance(payload, list):
         header = list(payload[0].keys()) if payload else []
         table = [[_fmt_scalar(r.get(k, "")) for k in header] for r in payload]
@@ -96,27 +114,18 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _build_config(args) -> tuple[ExperimentConfig, list[str]]:
-    """The validated configuration, and the messages of the
-    ConfigConsistencyWarnings that validating it raised, in order and
-    without repeats.  Other warnings are passed on as they are."""
+    """The validated configuration, and the `core._consistency_notes` of
+    the final one, after ``--set``, for the caller to report as data."""
     if args.config and args.paper_defaults:
         raise CliUsageError("--config and --paper-defaults are mutually exclusive")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConfigConsistencyWarning)
-        config = load_config(args.config) if args.config else validate(paper_defaults())
-        final = 0
-        overrides = _parse_overrides(args.set)
-        if overrides:
-            final = len(caught)     # only the final configuration's notes
-            config = config_from_dict(overrides, base=config)
-    notes = []
-    for i, w in enumerate(caught):
-        if not issubclass(w.category, ConfigConsistencyWarning):
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
-                                   source=w.source)
-        elif i >= final:
-            notes.append(str(w.message))
-    return config, list(dict.fromkeys(notes))
+    config = (_replaced(_read_json(args.config), paper_defaults())
+              if args.config else paper_defaults())
+    valid = validate(config)
+    overrides = _parse_overrides(args.set)
+    if overrides:
+        config = _replaced(overrides, valid)
+        valid = validate(config)
+    return valid, _consistency_notes(config)
 
 
 # ---------------------------------------------------------------- commands

@@ -147,12 +147,8 @@ def feasibility_report(config: ExperimentConfig, targetRatio: float = 0.1,
                        tauCollFactor: float = 1.0) -> ConstraintReport:
     """Aggregate feasibility: Casimir-Polder and magnetic backgrounds below
     ``targetRatio`` of gravity, and collisional coherence lasting at least
-    ``tauCollFactor`` times the full drop tau + 2 tauAcc.
-
-    The numbers come from `_closest_approach` and `decoherence._collisions`
-    (the core of `decoherence.collisional_time`), and the reasons from
-    `_reasons`; the batched sweep calls the same functions on arrays.
-    """
+    ``tauCollFactor`` times the full drop tau + 2 tauAcc.  The numbers and
+    reasons come from the cores the batched sweep calls on arrays."""
     vcp, vg, ratio, mag = _closest_approach(config, bResidual, FLOAT_OPS)
     r = config.d - config.dx
     # the root of min_separation; outside [contact, 1 m] the ratio is on one

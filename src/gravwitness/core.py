@@ -146,9 +146,8 @@ def _range_problems(config: ExperimentConfig) -> list[str]:
 def validate(config: ExperimentConfig) -> ExperimentConfig:
     """Check every invariant and return the validated configuration.
 
-    A missing ``dx`` is filled in from the split kinematics.  If ``dx`` is
-    given explicitly but disagrees with the kinematic value by more than 1%,
-    a ConfigConsistencyWarning is emitted and the explicit value wins.
+    A missing ``dx`` is filled in from the split kinematics; an explicit
+    ``dx`` wins.  Issues no warning (see `_consistency_notes`).
 
     Raises ConfigError naming every violated invariant.  Idempotent:
     ``validate(validate(c)) == validate(c)``.
@@ -156,9 +155,8 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     problems: list[str] = []
     for name, (lower, closed) in _BOUNDS.items():
         value = getattr(config, name)
-        # a plain float inside its range passes with one chained test; at
-        # the first field that does not, every field is checked for its
-        # message
+        # a plain float in range passes one chained test; at the first
+        # field that does not, every field is checked for its message
         if not (type(value) is float and value < math.inf
                 and (lower <= value if closed else lower < value)):
             problems = _range_problems(config)
@@ -174,37 +172,18 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
                           f"tauAcc={config.tauAcc!r}, m1={config.m1!r}") from None
     dx = config.dx
     if dx is None:
-        if config.m1 != config.m2:
-            warnings.warn(
-                "dx derived from m1 only; the two masses differ so their "
-                "kinematic splits would too",
-                ConfigConsistencyWarning,
-                stacklevel=2,
-            )
         dx = dx_kinematic
-    else:
-        if not _finite_number(dx):
-            raise ConfigError(f"dx must be a finite number or None, got {dx!r}")
-        if abs(dx - dx_kinematic) > 0.01 * dx_kinematic:
-            warnings.warn(
-                f"explicit dx={dx:g} m differs from the kinematic value "
-                f"{dx_kinematic:g} m by more than 1%; keeping the explicit dx",
-                ConfigConsistencyWarning,
-                stacklevel=2,
-            )
+    elif not _finite_number(dx):
+        raise ConfigError(f"dx must be a finite number or None, got {dx!r}")
 
     if not dx > 0:
-        problems.append(f"dx must be > 0, got {dx!r}")
-    elif not dx < config.d:
-        problems.append(f"dx < d violated: dx={dx!r}, d={config.d!r}")
-    elif not config.d - dx > 2 * config.radius:
-        problems.append(
+        raise ConfigError(f"dx must be > 0, got {dx!r}")
+    if not dx < config.d:
+        raise ConfigError(f"dx < d violated: dx={dx!r}, d={config.d!r}")
+    if not config.d - dx > 2 * config.radius:
+        raise ConfigError(
             f"d - dx > 2*radius violated: closest approach {config.d - dx!r} m "
-            f"with radius {config.radius!r} m"
-        )
-    if problems:
-        raise ConfigError("; ".join(problems))
-
+            f"with radius {config.radius!r} m")
     return config if dx is config.dx else dataclasses.replace(config, dx=dx)
 
 
@@ -213,27 +192,57 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+def _consistency_notes(config: ExperimentConfig) -> list[str]:
+    """The ConfigConsistencyWarning messages of a configuration that
+    `validate` accepts, as given: before `validate` derives its ``dx``."""
+    dx, kinematic = config.dx, _kinematic_split(config.dBdx, config.tauAcc,
+                                                config.m1)
+    if dx is None:
+        return [] if config.m1 == config.m2 else [
+            "dx derived from m1 only; the two masses differ so their "
+            "kinematic splits would too"]
+    if abs(dx - kinematic) <= 0.01 * kinematic:
+        return []
+    return [f"explicit dx={dx:g} m differs from the kinematic value "
+            f"{kinematic:g} m by more than 1%; keeping the explicit dx"]
+
+
+def _replaced(data: dict, base: ExperimentConfig) -> ExperimentConfig:
+    """``base`` with the fields of ``data``, unvalidated."""
+    unknown = sorted(set(data) - set(FIELD_NAMES))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    return dataclasses.replace(base, **data)
+
+
 def config_from_dict(data: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a configuration from a flat mapping.
 
     Unknown keys are rejected.  Missing keys fall back to ``base``
     (paper defaults when not given); ``dx`` may be null to request the
-    kinematic derivation.  The result is validated.
+    kinematic derivation.  The result is validated, and each of its
+    `_consistency_notes` is issued as a ConfigConsistencyWarning.
     """
-    unknown = sorted(set(data) - set(FIELD_NAMES))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    base = paper_defaults() if base is None else base
-    return validate(dataclasses.replace(base, **data))
+    config = _replaced(data, paper_defaults() if base is None else base)
+    valid = validate(config)
+    for note in _consistency_notes(config):
+        warnings.warn(note, ConfigConsistencyWarning, stacklevel=2)
+    return valid
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a validated configuration from a flat JSON document."""
+def _read_json(path) -> dict:
+    """The flat JSON object of a config file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("config JSON must be a flat object of key/value pairs")
-    return config_from_dict(data)
+    return data
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read a validated configuration from a flat JSON document; warns as
+    `config_from_dict` does."""
+    return config_from_dict(_read_json(path))
 
 
 def config_to_json(config: ExperimentConfig) -> str:
@@ -279,16 +288,13 @@ def _divide_arrays(a, b):
 
 @dataclass(frozen=True)
 class Ops:
-    """The operations of the physics formulas whose number and array forms
-    differ.  A formula written with them is numpy-generic: with
-    `ARRAY_OPS` it takes arrays, or numbers, and gives on each element
-    bit for bit what it gives on that number with `FLOAT_OPS`.
-
-    ``divide(a, b)`` is a / b for a >= 0, with its limit where b is 0: inf,
-    or 0 at a = 0.  With ``checked`` (numbers), inputs are range-checked and
-    a regime guard that fires raises RegimeError; arrays hold validated
-    configurations, and a guard gives where it fires.
-    """
+    """The operations whose number and array forms differ.  A formula
+    written with them is numpy-generic: with `ARRAY_OPS` it gives on each
+    array element bit for bit what it gives on that number with `FLOAT_OPS`.
+    ``divide(a, b)`` is a / b for a >= 0, with its limit where b is 0 (inf,
+    or 0 at a = 0).  With ``checked`` (numbers), inputs are range-checked and
+    a regime guard that fires raises RegimeError; on arrays of validated
+    configurations a guard gives where it fires."""
 
     pow: Callable
     exp: Callable

@@ -66,16 +66,24 @@ def gas_de_broglie_wavelength(config: ExperimentConfig,
     return ops.divide(2.0 * math.pi * CONSTANTS.hbar, ops.sqrt(mkt))
 
 
+def _regime_message(dx: float, scale: float, temp: float | None = None) -> str:
+    """The RegimeError text of the collisional guard (``scale`` the gas de
+    Broglie wavelength), or with ``temp`` of a photon guard (``scale`` the
+    thermal wavelength at ``temp``)."""
+    if temp is None:
+        return (f"saturated collisional regime needs dx >> gas de Broglie "
+                f"wavelength: dx={dx:g} m vs {_REGIME_MARGIN:g} x {scale:g} m")
+    return (f"long-wavelength photon regime needs dx << thermal wavelength: "
+            f"dx={dx:g} m vs {scale:g} m at {temp:g} K")
+
+
 def _collisions(config: ExperimentConfig, ops: Ops):
     """The core of `collisional_time`: where the saturated-regime guard
     fires, and 1/(n vbar pi R^2)."""
     lam = gas_de_broglie_wavelength(config, ops)
     fired = config.dx < _REGIME_MARGIN * lam
     if ops.checked and fired:
-        raise RegimeError(
-            f"saturated collisional regime needs dx >> gas de Broglie wavelength: "
-            f"dx={config.dx:g} m vs {_REGIME_MARGIN:g} x {lam:g} m"
-        )
+        raise RegimeError(_regime_message(config.dx, lam))
     n = gas_density(config.pressure, config.tEnv, ops)
     vbar = ops.sqrt(8.0 * CONSTANTS.kB * config.tEnv / (math.pi * config.mGas))
     gamma = n * vbar * math.pi * ops.pow(config.radius, 2)
@@ -83,11 +91,9 @@ def _collisions(config: ExperimentConfig, ops: Ops):
 
 
 def collisional_time(config: ExperimentConfig) -> float:
-    """Saturated-regime collisional decoherence time 1/(n vbar pi R^2).
-
-    Valid only for dx well above the gas de Broglie wavelength (every
-    collision then resolves the superposition); returns inf at zero pressure.
-    """
+    """Saturated-regime collisional decoherence time 1/(n vbar pi R^2), inf
+    at zero pressure.  Valid only for dx well above the gas de Broglie
+    wavelength, where every collision resolves the superposition."""
     return _collisions(config, FLOAT_OPS)[1]
 
 
@@ -106,15 +112,13 @@ def thermal_wavelength(temperature: float, ops: Ops = FLOAT_OPS) -> float:
 
 def _photon_guard(config: ExperimentConfig, temp: float, ops: Ops):
     """Where dx is not well below the thermal wavelength at ``temp``, as the
-    long-wavelength rates need; with `FLOAT_OPS` it raises there."""
+    long-wavelength rates need (`FLOAT_OPS` raises there), and that
+    wavelength."""
     wavelength = thermal_wavelength(temp, ops)
     hot = config.dx > wavelength / _REGIME_MARGIN
     if ops.checked and hot:
-        raise RegimeError(
-            f"long-wavelength photon regime needs dx << thermal wavelength: "
-            f"dx={config.dx:g} m vs {wavelength:g} m at {temp:g} K"
-        )
-    return hot
+        raise RegimeError(_regime_message(config.dx, wavelength, temp))
+    return hot, wavelength
 
 
 def _photons(config: ExperimentConfig, ops: Ops):
@@ -125,12 +129,12 @@ def _photons(config: ExperimentConfig, ops: Ops):
     `FLOAT_OPS` an overflow there raises first, as it always has."""
     dielec = dielectric_factor(config.epsRel, ops)
     hc = CONSTANTS.hbar * CONSTANTS.c
-    fired = _photon_guard(config, config.tEnv, ops)
+    fired = _photon_guard(config, config.tEnv, ops)[0]
     kt_env = CONSTANTS.kB * config.tEnv / hc
     lam_sc = (_C_SCATTER * CONSTANTS.c * ops.pow(config.radius, 6)
               * ops.pow(kt_env, 9) * dielec)
     dx2 = ops.pow(config.dx, 2)
-    fired = fired | _photon_guard(config, config.tInt, ops)
+    fired = fired | _photon_guard(config, config.tInt, ops)[0]
     planck = _C_PLANCK * CONSTANTS.c * ops.pow(config.radius, 3)
     return fired, (
         lam_sc * dx2,
@@ -147,13 +151,10 @@ def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
 
 def _budget(config: ExperimentConfig, ops: Ops):
     """The core of `dephasing_budget`: where the collisional guard fires,
-    1/(n vbar pi R^2) as `collisional_time` gives it, where any guard fires,
-    and the DecoherenceRates (of arrays, with ``ops=ARRAY_OPS``).
-
-    With `FLOAT_OPS` the first guard to fire raises RegimeError, in the
-    order the rates are computed: collisions, then photons.  Arrays hold
-    validated configurations, whose pressure is > 0.
-    """
+    `collisional_time`, where any guard fires, and the DecoherenceRates (of
+    arrays, with ``ops=ARRAY_OPS``).  With `FLOAT_OPS` the first guard to
+    fire raises, collisions before photons.  Arrays hold validated
+    configurations, whose pressure is > 0."""
     if ops.checked and config.pressure == 0.0:
         coll_fired, tau_coll, gamma_coll = False, math.inf, 0.0   # no gas
     else:
@@ -171,11 +172,7 @@ def _budget(config: ExperimentConfig, ops: Ops):
 
 def dephasing_budget(config: ExperimentConfig) -> DecoherenceRates:
     """Aggregate decoherence over the full drop T_exp = tau + 2 tauAcc.
-
     ``totalDephasing`` = 1 - e^{-Gamma T_exp} is the fraction of each mass's
-    coherence lost: its spin coherences decay by 1 - totalDephasing, which
-    a phase-flip channel gives at p = totalDephasing / 2 (see
-    `sweep.evaluate`).  The numbers come from `_budget`, which the batched
-    sweep calls on arrays.
-    """
+    coherence lost, a phase flip at p = totalDephasing / 2 on each spin (see
+    `sweep.evaluate`)."""
     return _budget(config, FLOAT_OPS)[3]

@@ -1,21 +1,19 @@
 """Constrained parameter-space exploration.
 
-Grid sweeps evaluate phases, feasibility, the decoherence budget and the
-objective at every point.  Each point is validated on its own; over the
-valid points every number is computed as arrays, by the numpy-generic
-cores the scalar `feasibility_report` and `dephasing_budget` call, so no
-formula has a second copy here.  The witness objectives read the
-closed-form dephased <XZ>, <YZ> and build no spin state; the negativity
-objective builds and checks the noiseless and dephased states of every
-point whose objective it computes.  `run_sweep` builds a row at every
-point.  `maximize` scans the same arrays for the best feasible point,
-computes the objective only at feasible points, builds that one row, and
-refines it by a deterministic coordinate descent with golden-section line
-searches.  Rows are emitted in row-major axis order and runs are
-bit-reproducible.
-`evaluate`, the one scalar pipeline to the dephased spin state, serves the
-CLI `witness` and the line searches, and is the oracle every grid row
-equals bit for bit.
+Grid sweeps validate each point on its own, then compute the phases,
+feasibility, decoherence budget and objective of the valid points as
+arrays, by the numpy-generic cores the scalar functions call.  The witness
+objectives read the closed-form dephased <XZ>, <YZ>; the negativity
+objective builds and checks both spin states.  `run_sweep` builds a row at
+every point, in row-major axis order.  `maximize` scans the same arrays
+for the best feasible point, builds that one row, and refines it by a
+deterministic coordinate descent with golden-section line searches.
+
+`evaluate`, the scalar pipeline to the dephased spin state, serves the CLI
+`witness`.  `_scalar_point` computes a row's numbers by the same cores in
+the same order: the scalar rows, which every grid row equals bit for bit,
+and the line-search scores read it.  `validate` issues no warning, so
+nothing here filters any.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import functools
 import io
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -34,8 +31,8 @@ import numpy as np
 
 from . import constraints, decoherence, spinstate
 from .constraints import ConstraintReport, feasibility_report
-from .core import (ARRAY_OPS, ConfigConsistencyWarning, ConfigError,
-                   ExperimentConfig, FIELD_NAMES, RegimeError, validate)
+from .core import (ARRAY_OPS, FLOAT_OPS, ConfigError, ExperimentConfig,
+                   FIELD_NAMES, RegimeError, validate)
 from .decoherence import DecoherenceRates, dephasing_budget
 from .gravphase import PhaseSet, static_phases
 
@@ -150,12 +147,9 @@ def _objective_value(objective: str, cxz: float, cyz: float,
 
 
 def _flip_probability(budget: DecoherenceRates) -> float:
-    """The phase-flip probability of each qubit's spin channel.
-
-    Each mass's spatial coherence decays by e^{-Gamma T} = 1 - totalDephasing
-    over the drop; a phase-flip channel scales coherences by 1 - 2p, so the
-    spin channel gets p = totalDephasing / 2 on each qubit.
-    """
+    """Each qubit's phase-flip probability: coherences decay by
+    e^{-Gamma T} = 1 - totalDephasing, and a phase flip scales them by
+    1 - 2p."""
     return budget.totalDephasing / 2.0
 
 
@@ -165,9 +159,7 @@ class Evaluation:
 
     ``budget`` is None when the decoherence budget is out of its regime;
     ``regimeError`` then holds the guard's message and ``dephased`` is None.
-    The spin states ``state`` (noiseless) and ``dephased`` are built, and
-    checked by `TwoQubitState`, on first access; `evaluate` has already
-    checked their inputs as `entangled_state` and `apply_dephasing` do.
+    The spin states are built and checked on first access.
     """
 
     phases: PhaseSet
@@ -190,11 +182,9 @@ class Evaluation:
 def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
              tauCollOver: float = 1.0) -> Evaluation:
     """Phases, feasibility and decoherence budget of a validated
-    configuration, with its noiseless and dephased spin states.
-
-    Raises, in pipeline order, what building the states raises: non-finite
-    phases, or a flip probability outside [0, 1].
-    """
+    configuration, with its noiseless and dephased spin states.  Raises, in
+    pipeline order, on non-finite phases or a flip probability outside
+    [0, 1]."""
     phases = static_phases(config)
     report = feasibility_report(config, targetRatio=cpRatioMax,
                                 tauCollFactor=tauCollOver)
@@ -210,86 +200,116 @@ def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
 
 def _config(fields: dict, overrides: dict) -> ExperimentConfig:
     """``dataclasses.replace(base, **overrides)`` for ``fields = vars(base)``,
-    built by one dict update: replace scans the fields and runs the keyword
-    ``__init__`` on every call, which shows in a sweep's end-to-end time.
-    ExperimentConfig has no ``__post_init__``, slots or init-only fields
-    that this skips; a test holds it to that."""
+    without the field scan and keyword ``__init__`` of replace, which show
+    in a sweep's time.  ExperimentConfig has no ``__post_init__``, slots or
+    init-only fields that this skips; a test holds it to that."""
+    values = fields.copy()
+    values.update(overrides)
     config = object.__new__(ExperimentConfig)
-    config.__dict__.update(fields, **overrides)
+    object.__setattr__(config, "__dict__", values)
     return config
 
 
+def _scalar_point(cfg: ExperimentConfig) -> tuple:
+    """What a row reads of a validated configuration, by `evaluate`'s cores
+    in its order, so it raises what `evaluate` raises: dPhiLR, dPhiRL,
+    cpRatio, magRatio, the collisional tauColl (nan where its guard fires)
+    and guard message, the duration, the DecoherenceRates (None where a
+    guard fires) and the first guard's message; a message is "" if none."""
+    phases = static_phases(cfg)
+    _, _, cp_ratio, mag_ratio = constraints._closest_approach(cfg, 0.0,
+                                                              FLOAT_OPS)
+    try:
+        tau_coll, coll_error = decoherence._collisions(cfg, FLOAT_OPS)[1], ""
+    except RegimeError as err:
+        tau_coll, coll_error = math.nan, str(err)
+    spinstate._check_phases(phases.dPhiLR, phases.dPhiRL)
+    try:
+        budget, regime_error = decoherence._budget(cfg, FLOAT_OPS)[3], ""
+    except RegimeError as err:
+        budget, regime_error = None, str(err)
+    else:
+        p = _flip_probability(budget)
+        spinstate._check_probabilities(p, p)
+    return (phases.dPhiLR, phases.dPhiRL, cp_ratio, mag_ratio, tau_coll,
+            coll_error, decoherence.experiment_duration(cfg), budget,
+            regime_error)
+
+
+def _scalar_objective(objective: str, dPhiLR: float, dPhiRL: float,
+                      budget: DecoherenceRates) -> float:
+    """The objective of `evaluate`'s dephased state."""
+    p = _flip_probability(budget)
+    cxz, cyz = spinstate.dephased_correlators(dPhiLR, dPhiRL, p)
+    return _objective_value(objective, float(cxz), float(cyz), lambda: (
+        spinstate.apply_dephasing(spinstate.entangled_state(dPhiLR, dPhiRL),
+                                  p, p)))
+
+
 def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
-                    overrides: dict[str, float]) -> SweepRow:
+                    overrides: dict[str, float], scoring: bool = False):
+    """The row of the grid point ``overrides`` on ``base``.  With
+    ``scoring``, `_line_search`'s score instead, without a row: the
+    objective where the row is feasible and the objective finite, else
+    -inf; and the point's `_scalar_point`, None where it is invalid."""
     try:
         cfg = validate(_config(vars(base), overrides))
     except ConfigError as err:
-        return _invalid_row(overrides, str(err))
-    return _valid_row(cfg, spec, overrides)
+        return ((-math.inf, None) if scoring
+                else _invalid_row(dict(overrides), str(err)))
+    if not scoring:
+        return _valid_row(cfg, spec, dict(overrides))
+    point = _scalar_point(cfg)
+    dphi_lr, dphi_rl, cp_ratio, mag_ratio, tau_coll, _, duration, budget, \
+        regime_error = point
+    if regime_error or any(constraints._failing(
+            cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
+            spec.requireTauCollOver, duration)):
+        return -math.inf, point
+    value = _scalar_objective(spec.objective, dphi_lr, dphi_rl, budget)
+    return (value if math.isfinite(value) else -math.inf), point
 
 
 def _valid_row(cfg: ExperimentConfig, spec: SweepSpec,
-               overrides: dict[str, float]) -> SweepRow:
-    ev = evaluate(cfg, spec.cpRatioMax, spec.requireTauCollOver)
-    obj = math.nan
-    if ev.budget is not None:
-        cxz, cyz = spinstate.dephased_correlators(
-            ev.phases.dPhiLR, ev.phases.dPhiRL, _flip_probability(ev.budget))
-        obj = _objective_value(spec.objective, float(cxz), float(cyz),
-                               lambda: ev.dephased)
-    return _row(overrides, ev.phases.dPhiLR, ev.phases.dPhiRL,
-                ev.report.cpRatio, ev.report.reasons,
-                math.nan if ev.budget is None else ev.budget.tauColl,
-                ev.regimeError, obj)
+               params: dict[str, float]) -> SweepRow:
+    """The row of a validated configuration, from its `_scalar_point`."""
+    dphi_lr, dphi_rl, cp_ratio, mag_ratio, tau_coll, coll_error, duration, \
+        budget, regime_error = _scalar_point(cfg)
+    reasons = constraints._reasons(cp_ratio, mag_ratio, spec.cpRatioMax,
+                                   tau_coll, spec.requireTauCollOver,
+                                   duration, coll_error)
+    if budget is None:
+        return _row(params, dphi_lr, dphi_rl, cp_ratio, reasons, math.nan,
+                    regime_error, math.nan)
+    return _row(params, dphi_lr, dphi_rl, cp_ratio, reasons, budget.tauColl,
+                "", _scalar_objective(spec.objective, dphi_lr, dphi_rl, budget))
 
 
-def _invalid_row(overrides: dict[str, float], error: str) -> SweepRow:
+def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
     """The row of a configuration `validate` rejects with ``error``."""
-    nan = math.nan
-    return SweepRow(params=dict(overrides), dPhiLR=nan, dPhiRL=nan,
-                    objective=nan, cpRatio=nan, tauColl=nan, feasible=False,
-                    reason=f"invalid config: {error}")
+    return SweepRow(params, *[math.nan] * 5, False, f"invalid config: {error}")
 
 
-def _row(overrides: dict[str, float], dPhiLR: float, dPhiRL: float,
-         cpRatio: float, reasons, tauColl: float, regimeError: str,
-         objective: float) -> SweepRow:
-    """The row of a valid configuration.  ``regimeError`` is the message of
-    the decoherence budget's regime guard when it fired, and ``tauColl`` is
-    then nan."""
-    reasons = list(reasons)
+def _row(params: dict[str, float], dPhiLR: float, dPhiRL: float,
+         cpRatio: float, reasons: list[str], tauColl: float,
+         regimeError: str, objective: float) -> SweepRow:
+    """The row of a valid configuration; ``regimeError`` is the message of
+    the budget's regime guard that fired, if one did."""
     if regimeError:
         msg = f"decoherence regime: {regimeError}"
         if msg not in reasons:
             reasons.append(msg)
-    return SweepRow(params=dict(overrides), dPhiLR=dPhiLR, dPhiRL=dPhiRL,
-                    objective=objective, cpRatio=cpRatio, tauColl=tauColl,
-                    feasible=not reasons, reason="; ".join(reasons))
-
-
-def _regime_error(cfg: ExperimentConfig) -> str | None:
-    """The message of the regime guard `dephasing_budget` raises on
-    ``cfg``, or None when none fires."""
-    try:
-        dephasing_budget(cfg)
-    except RegimeError as err:
-        return str(err)
-    return None
+    # positional, in field order: keywords cost more than the rest of a row
+    return SweepRow(params, dPhiLR, dPhiRL, objective, cpRatio, tauColl,
+                    not reasons, "; ".join(reasons))
 
 
 def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
-    """`evaluate` on arrays over a batch of validated configurations: a
-    namespace whose fields are arrays or the numbers they share.
-
-    The numbers come from the numpy-generic cores of `static_phases`,
-    `feasibility_report` (`constraints._closest_approach`) and
-    `dephasing_budget` (`decoherence._budget`, which also gives the
-    collisional numbers `feasibility_report` reads).  ``scalar_only`` marks
-    the points where `evaluate` raises or may raise: non-finite phases, a
-    flip probability outside [0, 1], or a non-finite number where a scalar
-    step overflows or divides by zero.  ``regime`` marks the points whose
-    budget is out of its regime; their p is 0.
-    """
+    """`evaluate`'s numbers over a batch of validated configurations, from
+    the numpy-generic cores.  ``scalar_only`` marks where `evaluate` raises
+    or may raise: non-finite phases, a flip probability outside [0, 1], or
+    a non-finite number where a scalar step overflows or divides by zero.
+    ``regime`` marks the points out of the budget's regime; their p is 0."""
     with np.errstate(all="ignore"):
         phases = static_phases(batch)
         _, _, cp_ratio, mag_ratio = constraints._closest_approach(
@@ -311,75 +331,62 @@ def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
         budgetTauColl=budget.tauColl, p=p, scalar_only=scalar_only)
 
 
-# `_stacked`'s numbers of each point; ``scalar_only`` is the mask beside them
-_COLUMNS = ("dPhiLR", "dPhiRL", "cpRatio", "magRatio", "collisionsFired",
-            "tauColl", "duration", "regime", "budgetTauColl", "p")
-
-
 def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
-    """The stage `run_sweep` and `maximize` share: every grid point
-    validated, and the numbers of the valid points as arrays.
-
-    ``grid`` holds each point's overrides in row-major order; ``invalid``
-    the (grid index, ConfigError message) of the points `validate` rejects
-    (the message only: a kept exception's traceback holds this frame), and
-    ``valid`` the (grid index, validated configuration) of the others.
-    Over the valid points, `_stacked` computes the phases, the feasibility
-    numbers and the decoherence budget with the numpy-generic cores the
-    scalar functions call, one array entry a point (`_COLUMNS`); then come
-    the closed-form dephased ``cxz``, ``cyz`` and two masks.  ``scalar``
-    marks the points to hand to the scalar pipeline: those where it raises
-    or may raise, or every point when a number they all share divides by
-    zero.  ``feasible`` marks the other points that are in regime and
-    pass every check of `constraints._failing`.
-    """
+    """The stage `run_sweep` and `maximize` share.  ``grid`` holds each
+    point's overrides in row-major order, ``invalid`` the (grid index,
+    ConfigError message) of the points `validate` rejects, ``valid`` the
+    (grid index, validated configuration) of the others, and ``batch`` their
+    fields: axis columns, the derived dx, and the base's other numbers.
+    Then come `_stacked`'s columns over ``batch`` (all ``scalar_only`` where
+    a number every point shares divides by zero), the dephased ``cxz`` and
+    ``cyz``, and ``feasible``: the points in regime, not ``scalar_only``,
+    that pass every check of `constraints._failing`."""
     names = [axis.name for axis in spec.axes]
+    values = [axis.values() for axis in spec.axes]
     fields = vars(base)
     grid = [dict(zip(names, combo)) for combo in
-            itertools.product(*(axis.values().tolist() for axis in spec.axes))]
+            itertools.product(*(v.tolist() for v in values))]
     invalid, valid = [], []
     for i, overrides in enumerate(grid):
         try:
             valid.append((i, validate(_config(fields, overrides))))
-        except ConfigError as err:
+        except ConfigError as err:  # kept, its traceback would hold this frame
             invalid.append((i, str(err)))
 
-    # the axes vary, and dx where `validate` derives it; every other field
-    # is the base's own number
-    varying = names + ["dx"] if base.dx is None else names
+    index = np.array([i for i, _ in valid], dtype=np.intp)
     batch = SimpleNamespace(**{**fields, **{
-        name: np.array([getattr(cfg, name) for _, cfg in valid], dtype=float)
-        for name in varying}})
+        name: column.ravel()[index] for name, column in
+        zip(names, np.meshgrid(*values, indexing="ij"))}})
+    if base.dx is None and "dx" not in names:
+        batch.dx = np.array([cfg.dx for _, cfg in valid], dtype=float)
     try:
-        st = _stacked(batch)
+        st = vars(_stacked(batch))
     except ArithmeticError:
         # a number every point shares is a float, and divides by zero; the
         # scalar pipeline raises that, or what the first point raises before
-        st = SimpleNamespace(**dict.fromkeys(_COLUMNS, math.nan))
-        st.collisionsFired = st.regime = False
-        st.scalar_only = True
-    n = len(valid)
-    points = SimpleNamespace(grid=grid, invalid=invalid, valid=valid, **{
-        name: np.broadcast_to(getattr(st, name), (n,)) for name in _COLUMNS})
-    points.scalar = np.broadcast_to(st.scalar_only, (n,))
+        st = dict(dict.fromkeys(("dPhiLR", "dPhiRL", "cpRatio", "magRatio",
+                                 "tauColl", "duration", "budgetTauColl", "p"),
+                                math.nan),
+                  collisionsFired=False, regime=False, scalar_only=True)
+    points = SimpleNamespace(grid=grid, invalid=invalid, valid=valid,
+                             batch=batch, **{
+        name: np.broadcast_to(x, (len(valid),)) for name, x in st.items()})
     with np.errstate(all="ignore"):
         points.cxz, points.cyz = spinstate.dephased_correlators(
             points.dPhiLR, points.dPhiRL, points.p)
         cp, mag, coll = constraints._failing(
             points.cpRatio, points.magRatio, spec.cpRatioMax, points.tauColl,
             spec.requireTauCollOver, points.duration)
-    points.feasible = ~(points.scalar | points.regime | cp | mag | coll)
+    points.feasible = ~(points.scalar_only | points.regime | cp | mag | coll)
     return points
 
 
 def _objectives(spec: SweepSpec, points: SimpleNamespace,
-                index: np.ndarray) -> list[float]:
+                index) -> list[float]:
     """The objective at the `_grid_points` entries ``index``, none of them
-    scalar or out of regime, each equal to `_valid_row`'s.  For the
-    negativity objective each point's noiseless and dephased density
-    matrices are built as stacks, and checked by `TwoQubitState` as
-    `entangled_state` and `apply_dephasing` would; the witness objectives
-    read only the correlators."""
+    scalar-only or out of regime, each equal to `_valid_row`'s.  The
+    negativity objective builds both density matrices as stacks and checks
+    each as `entangled_state` and `apply_dephasing` would."""
     correlators = zip(points.cxz[index].tolist(), points.cyz[index].tolist())
     if spec.objective == "negativity":
         with np.errstate(all="ignore"):
@@ -397,60 +404,77 @@ def _objectives(spec: SweepSpec, points: SimpleNamespace,
             for k, (cxz, cyz) in enumerate(correlators)]
 
 
-def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
-    """`_evaluate_point` at every grid point, each row equal to the scalar
-    one, built from `_grid_points`.
+def _regime_errors(points: SimpleNamespace, index: list[int]) -> list[str]:
+    """The message of the first regime guard `dephasing_budget` meets at
+    each `_grid_points` entry of ``index``, formatted from the guards'
+    numbers over the batch as the guard raises it."""
+    batch, n = points.batch, len(points.valid)
+    with np.errstate(all="ignore"):
+        # collisions, then photons at tEnv; where neither fired, at tInt
+        guards = [(points.collisionsFired,
+                   decoherence.gas_de_broglie_wavelength(batch, ARRAY_OPS),
+                   None),
+                  (*decoherence._photon_guard(batch, batch.tEnv, ARRAY_OPS),
+                   batch.tEnv),
+                  (True, decoherence.thermal_wavelength(batch.tInt, ARRAY_OPS),
+                   batch.tInt)]
+    guards = [[np.broadcast_to(x, (n,))[index].tolist() for x in guard]
+              for guard in guards]
+    dx = np.broadcast_to(batch.dx, (n,))[index].tolist()
+    return [next(decoherence._regime_message(dx[k], scale[k], temp[k])
+                 for fired, scale, temp in guards if fired[k])
+            for k in range(len(index))]
 
-    The objective comes from `_objectives` at every point in regime, and
-    a regime guard's message from `dephasing_budget` on its row.  The
-    ``scalar`` points go to the scalar pipeline in row order, so the sweep
-    raises what the scalar sweep raises.
-    """
+
+def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
+    """`_evaluate_point` at every grid point, from `_grid_points`; its
+    ``scalar_only`` points go to `_valid_row` in row order, so the sweep
+    raises what the scalar sweep raises."""
     points = _grid_points(spec, base)
     grid = points.grid
     rows: list[SweepRow | None] = [None] * len(grid)
     for i, error in points.invalid:
         rows[i] = _invalid_row(grid[i], error)
-    objectives = [math.nan] * len(points.valid)
-    index = np.flatnonzero(~(points.scalar | points.regime))
-    for j, value in zip(index.tolist(), _objectives(spec, points, index)):
-        objectives[j] = value
+    index = np.flatnonzero(~(points.scalar_only | points.regime)).tolist()
+    objectives = dict(zip(index, _objectives(spec, points, index)))
+    regime = np.flatnonzero(points.regime & ~points.scalar_only).tolist()
+    regime_errors = dict(zip(regime, _regime_errors(points, regime)))
 
-    columns = zip(points.valid, objectives, *(x.tolist() for x in (
+    columns = zip(points.valid, *(x.tolist() for x in (
         points.dPhiLR, points.dPhiRL, points.cpRatio, points.magRatio,
         points.collisionsFired, points.tauColl, points.duration,
-        points.regime, points.budgetTauColl, points.scalar)))
-    for ((i, cfg), obj, dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired,
-         tau_coll, duration, regime, budget_tau_coll, scalar) in columns:
-        regime_error = "" if scalar or not regime else _regime_error(cfg)
-        if scalar or regime_error is None:
+        points.budgetTauColl, points.scalar_only, points.feasible)))
+    for j, ((i, cfg), dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired,
+            tau_coll, duration, budget_tau_coll, scalar,
+            feasible) in enumerate(columns):
+        obj = objectives.get(j, math.nan)
+        if scalar:
             rows[i] = _valid_row(cfg, spec, grid[i])
-            continue
-        reasons = constraints._reasons(
-            cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
-            spec.requireTauCollOver, duration,
-            regime_error if coll_fired else "")
-        rows[i] = _row(grid[i], dphi_lr, dphi_rl, cp_ratio, reasons,
-                       math.nan if regime else budget_tau_coll, regime_error,
-                       obj)
+        elif feasible:
+            rows[i] = SweepRow(grid[i], dphi_lr, dphi_rl, obj, cp_ratio,
+                               budget_tau_coll, True, "")
+        else:
+            regime_error = regime_errors.get(j, "")
+            reasons = constraints._reasons(
+                cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
+                spec.requireTauCollOver, duration,
+                regime_error if coll_fired else "")
+            rows[i] = _row(grid[i], dphi_lr, dphi_rl, cp_ratio, reasons,
+                           math.nan if regime_error else budget_tau_coll,
+                           regime_error, obj)
     return rows
 
 
 def _start_row(spec: SweepSpec, base: ExperimentConfig) -> SweepRow:
-    """The row `maximize` starts from: the first row of `run_sweep` whose
-    objective is the largest among its feasible rows with finite
-    objectives, and the only row built.
-
-    From `_grid_points` it scans just the ``feasible`` and the ``scalar``
-    points, in row order: the objective is computed at the feasible points
-    only, and a scalar point goes to `_valid_row`, so the scan raises what
-    `run_sweep` raises.  Raises ValueError when no row qualifies.
-    """
+    """The first `run_sweep` row with the largest finite objective among
+    the feasible rows, the only row built: a scan of the ``feasible`` and
+    ``scalar_only`` points, in row order, that raises what `run_sweep`
+    raises, and ValueError when no row qualifies."""
     points = _grid_points(spec, base)
     feasible = np.flatnonzero(points.feasible)
     values = dict(zip(feasible.tolist(), _objectives(spec, points, feasible)))
     best, best_row, best_value = None, None, -math.inf
-    for j in np.flatnonzero(points.scalar | points.feasible).tolist():
+    for j in np.flatnonzero(points.scalar_only | points.feasible).tolist():
         row = None
         if j in values:
             value = values[j]
@@ -464,41 +488,34 @@ def _start_row(spec: SweepSpec, base: ExperimentConfig) -> SweepRow:
         raise ValueError("no feasible grid point to start from")
     if best_row is not None:
         return best_row
-    return _row(points.grid[points.valid[best][0]], points.dPhiLR[best].item(),
-                points.dPhiRL[best].item(), points.cpRatio[best].item(), (),
-                points.budgetTauColl[best].item(), "", best_value)
+    return SweepRow(points.grid[points.valid[best][0]],
+                    points.dPhiLR[best].item(), points.dPhiRL[best].item(),
+                    best_value, points.cpRatio[best].item(),
+                    points.budgetTauColl[best].item(), True, "")
 
 
 def run_sweep(spec: SweepSpec, base_config: ExperimentConfig) -> SweepResult:
-    """Evaluate the grid in row-major order of the axes as given.
-
-    Invalid grid points are emitted as infeasible rows, not dropped.  Every
-    row equals `_evaluate_point`'s; see `_grid_rows`.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConfigConsistencyWarning)
-        rows = _grid_rows(spec, base_config)
-    return SweepResult(spec=spec, rows=tuple(rows))
+    """Every grid point's row, in row-major order of the axes as given;
+    invalid points are infeasible rows.  Each equals `_evaluate_point`'s."""
+    return SweepResult(spec=spec, rows=tuple(_grid_rows(spec, base_config)))
 
 
 def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
                  best: SweepRow) -> SweepRow:
     """Golden-section maximization along one axis through the incumbent
-    row ``best`` (log axes searched in log space).  Infeasible points score
-    -inf; returns the best row seen."""
+    row ``best``, log axes in log space.  Returns the best row seen, built
+    from the numbers of the probe that set it."""
     params = dict(best.params)
     to_x = math.log if axis.spacing == "log" else (lambda v: v)
     from_x = math.exp if axis.spacing == "log" else (lambda v: v)
 
     def score(x: float) -> float:
         nonlocal best
-        trial = dict(params)
-        trial[axis.name] = from_x(x)
-        row = _evaluate_point(base, spec, trial)
-        value = row.objective if row.feasible and math.isfinite(row.objective) \
-            else -math.inf
-        if value > best.objective:
-            best = row
+        trial = {**params, axis.name: from_x(x)}
+        value, point = _evaluate_point(base, spec, trial, True)
+        if value > best.objective:      # feasible: a row without reasons
+            best = SweepRow(trial, point[0], point[1], value, point[2],
+                            point[7].tauColl, True, "")
         return value
 
     a, b = to_x(axis.min), to_x(axis.max)
@@ -519,25 +536,18 @@ def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
 
 def maximize(spec: SweepSpec,
              base_config: ExperimentConfig) -> tuple[ExperimentConfig, SweepRow]:
-    """Best feasible grid point refined by coordinate descent.
-
-    The start point is the first `run_sweep` row with the largest finite
-    objective among the feasible rows, found by a scan of the grid's arrays
-    (`_start_row`) that builds that row only.  Returns the row that set the
-    incumbent, the start row or a line-search row that beat it, so its
-    objective is >= every feasible grid row, and its validated
-    configuration.  Raises what `run_sweep` raises, and ValueError when no
-    grid point is feasible.  Fully deterministic for a fixed spec.
-    """
+    """Best feasible grid point refined by coordinate descent from
+    `_start_row`; each line-search probe is validated once and scored
+    without a row.  Returns the row that set the incumbent, whose objective
+    is >= every feasible grid row, and its validated configuration.  Raises
+    what `run_sweep` raises, and ValueError when no grid point is feasible.
+    Deterministic for a fixed spec."""
     # a line search through the row it last returned would return it again
     searched = {}       # axis name -> the row its last line search returned
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConfigConsistencyWarning)
-        best = _start_row(spec, base_config)
-        for _ in range(_ROUNDS):
-            for axis in spec.axes:
-                if searched.get(axis.name) is not best:
-                    best = searched[axis.name] = _line_search(
-                        base_config, spec, axis, best)
-        final_config = validate(_config(vars(base_config), best.params))
-    return final_config, best
+    best = _start_row(spec, base_config)
+    for _ in range(_ROUNDS):
+        for axis in spec.axes:
+            if searched.get(axis.name) is not best:
+                best = searched[axis.name] = _line_search(
+                    base_config, spec, axis, best)
+    return validate(_config(vars(base_config), best.params)), best

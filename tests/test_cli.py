@@ -426,3 +426,26 @@ def test_other_warnings_are_not_configuration_notes(monkeypatch, capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert json.loads(out)["warnings"] == [DX_WARNING]
+
+
+def _strict(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+def test_non_finite_numbers_are_strict_json_nulls(capsys):
+    code, out, _ = run_cli(capsys, "decoherence", "--paper-defaults",
+                           "--set", "pressure=1e300")
+    assert code == 0
+    data = json.loads(out, parse_constant=_strict)
+    assert data["gammaColl"] is None and data["tauColl"] == 0.0
+    assert data["nonFinite"] == ["gammaColl"]
+    code, out, _ = run_cli(capsys, "decoherence", "--paper-defaults")
+    assert "nonFinite" not in json.loads(out, parse_constant=_strict)
+    # a list payload: each row lists its own keys
+    code, out, _ = run_cli(capsys, "sweep", "--paper-defaults",
+                           "--axis", "dx:2e-4:5e-4:2")
+    valid, invalid = json.loads(out, parse_constant=_strict)
+    assert "nonFinite" not in valid
+    assert invalid["objective"] is None
+    assert invalid["nonFinite"] == ["dPhiLR", "dPhiRL", "objective",
+                                    "cpRatio", "tauColl"]

@@ -4,11 +4,14 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravwitness.core import (CONSTANTS, ConfigConsistencyWarning, ConfigError,
                               ExperimentConfig, M_HELIUM4, PhysicalConstants,
-                              config_from_dict, config_to_dict, config_to_json,
-                              load_config, paper_defaults, validate)
+                              _consistency_notes, config_from_dict,
+                              config_to_dict, config_to_json, load_config,
+                              paper_defaults, validate)
 from gravwitness.gravphase import superposition_size
 
 
@@ -101,7 +104,7 @@ def test_missing_dx_is_derived():
 
 def test_inconsistent_explicit_dx_warns_and_wins():
     with pytest.warns(ConfigConsistencyWarning):
-        out = validate(paper_defaults())
+        out = config_from_dict({})
     assert out.dx == 250e-6
 
 
@@ -114,9 +117,34 @@ def test_consistent_explicit_dx_does_not_warn():
 
 
 def test_unequal_masses_with_derived_dx_warns():
-    cfg = dataclasses.replace(paper_defaults(), dx=None, m2=2e-14)
     with pytest.warns(ConfigConsistencyWarning, match="m1"):
-        validate(cfg)
+        config_from_dict({"dx": None, "m2": 2e-14})
+
+
+@given(fields=st.fixed_dictionaries({}, optional={
+    "dx": st.one_of(st.none(), st.floats(1e-4, 4e-4)),
+    "m1": st.floats(5e-15, 2e-14), "m2": st.floats(5e-15, 2e-14),
+    "tauAcc": st.floats(0.1, 1.0), "d": st.floats(2e-4, 1e-3),
+    "dBdx": st.floats(1e5, 1e7)}))
+@settings(max_examples=100, deadline=None)
+def test_only_config_from_dict_warns_its_notes(fields):
+    config = dataclasses.replace(paper_defaults(), **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            valid = validate(config)
+        except ConfigError as err:
+            valid = err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            built = config_from_dict(fields)
+        except ConfigError as err:
+            assert repr(err) == repr(valid) and caught == []
+            return
+    assert built == valid
+    assert [(w.category, str(w.message)) for w in caught] == \
+        [(ConfigConsistencyWarning, note) for note in _consistency_notes(config)]
 
 
 def test_config_dict_round_trip(paper_config):

@@ -807,3 +807,126 @@ def test_negativity_sweep_builds_two_states_a_row(paper_config, built_states):
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
         _scalar_rows(spec, paper_config)
     assert len(built_states) == 2 * with_states
+
+
+# ----------------------------------------------- line-search probes and rows
+
+# base fields where a probe's phases overflow, where radius**6 / r**7 does,
+# and where a number every point shares fails
+_PROBE_BASES = [{}, dict(tau=1.7e308, m1=1e-12, m2=1e-12),
+                dict(radius=1e45, d=1e46), *_SHARED_FAILURES]
+
+
+@st.composite
+def probes(draw):
+    """A spec, and overrides of its axes inside their bounds."""
+    spec = draw(grids(max_count=2))
+    overrides = {}
+    for axis in spec.axes:
+        if axis.spacing == "log":
+            overrides[axis.name] = math.exp(draw(st.floats(
+                math.log(axis.min), math.log(axis.max))))
+        else:
+            overrides[axis.name] = draw(st.floats(axis.min, axis.max))
+    return spec, overrides
+
+
+def _mixed_probe(objective, **overrides):
+    point = dict(tau=2.5, dx=2.5e-4, pressure=1e-15, tEnv=0.15)
+    return SweepSpec(axes=_MIXED_AXES, objective=objective), {**point,
+                                                              **overrides}
+
+
+@given(probe=probes(), fields=st.sampled_from(_PROBE_BASES),
+       kinematic=st.booleans())
+@example(probe=_mixed_probe("witnessOptimized"), fields={}, kinematic=False)
+@example(probe=_mixed_probe("negativity"), fields={}, kinematic=False)
+# an invalid, a regime-error and an infeasible probe
+@example(probe=_mixed_probe("negativity", dx=5e-4), fields={},
+         kinematic=False)
+@example(probe=_mixed_probe("witness", tEnv=20.0), fields={}, kinematic=False)
+@example(probe=_mixed_probe("witness", pressure=1e-12), fields={},
+         kinematic=False)
+@settings(max_examples=150, deadline=None)
+def test_line_search_score_is_the_rows(paper_config, probe, fields, kinematic):
+    spec, overrides = probe
+    base = dataclasses.replace(
+        _kinematic_unequal(paper_config) if kinematic else paper_config,
+        **fields)
+    row, row_err = _outcome(_evaluate_point, base, spec, overrides)
+    scored, score_err = _outcome(_evaluate_point, base, spec, overrides, True)
+    assert repr(score_err) == repr(row_err)     # the same type and message
+    if row_err is None:
+        want = (row.objective if row.feasible and math.isfinite(row.objective)
+                else -math.inf)
+        assert repr(scored[0]) == repr(want)
+
+
+@given(probe=probes(), kinematic=st.booleans())
+@example(probe=_mixed_probe("witness", tEnv=20.0), kinematic=False)
+@example(probe=_mixed_probe("witness", dx=1e-9), kinematic=False)
+@example(probe=_mixed_probe("negativity", pressure=1e-12), kinematic=False)
+@settings(max_examples=100, deadline=None)
+def test_scalar_rows_read_what_evaluate_gives(paper_config, probe, kinematic):
+    # evaluate, with its full feasibility report and budget, is the
+    # reference for the numbers a row and a line-search score read
+    spec, overrides = probe
+    base = _kinematic_unequal(paper_config) if kinematic else paper_config
+    try:
+        cfg = validate(dataclasses.replace(base, **overrides))
+    except ConfigError:
+        return
+    ev, err = _outcome(evaluate, cfg, spec.cpRatioMax, spec.requireTauCollOver)
+    row, row_err = _outcome(_evaluate_point, base, spec, overrides)
+    assert repr(row_err) == repr(err)
+    if err is not None:
+        return
+    reasons = list(ev.report.reasons)
+    if ev.regimeError and f"decoherence regime: {ev.regimeError}" not in reasons:
+        reasons.append(f"decoherence regime: {ev.regimeError}")
+    assert row.reason == "; ".join(reasons)
+    assert row.feasible == (not reasons)
+    assert repr((row.dPhiLR, row.dPhiRL, row.cpRatio)) == \
+        repr((ev.phases.dPhiLR, ev.phases.dPhiRL, ev.report.cpRatio))
+    assert repr(row.tauColl) == repr(
+        math.nan if ev.budget is None else ev.budget.tauColl)
+    if spec.objective == "negativity" and ev.dephased is not None:
+        assert repr(row.objective) == repr(negativity(ev.dephased))
+
+
+@given(spec=grids(max_count=3), kinematic=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_maximize_row_is_the_scalar_row_at_its_params(paper_config, spec,
+                                                      kinematic):
+    # a line search builds its best row from the numbers of the probe
+    base = _kinematic_unequal(paper_config) if kinematic else paper_config
+    assume(any(r.feasible and math.isfinite(r.objective)
+               for r in run_sweep(spec, base).rows))
+    _, row = maximize(spec, base)
+    assert repr(row) == repr(_evaluate_point(base, spec, row.params))
+
+
+@pytest.mark.parametrize("axis, guard", [
+    (SweepAxis("dx", 1e-9, 4e-8, 4), "saturated collisional regime"),
+    (SweepAxis("tEnv", 1.0, 300.0, 4, "log"), "K"),
+    # tEnv stays at 0.15 K: only the guard at tInt fires
+    (SweepAxis("tInt", 1.0, 40.0, 4), "K"),
+])
+def test_regime_reasons_are_the_scalar_guard_texts(paper_config, axis, guard):
+    spec = SweepSpec(axes=(axis, SweepAxis("tau", 0.5, 8.0, 2)))
+    hot = 0
+    for row in run_sweep(spec, paper_config).rows:
+        cfg = validate(dataclasses.replace(paper_config, **row.params))
+        try:
+            dephasing_budget(cfg)
+        except RegimeError as err:
+            if axis.name != "dx":
+                temp = getattr(cfg, axis.name)
+                assert str(err).endswith(f"at {temp:g} {guard}")
+            else:
+                assert str(err).startswith(guard)
+            assert row.reason.endswith(f"decoherence regime: {err}")
+            hot += 1
+        else:
+            assert "decoherence regime" not in row.reason
+    assert 0 < hot < len(spec.axes[0].values()) * 2
