@@ -438,7 +438,7 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     index = np.flatnonzero(~(points.scalar_only | points.regime)).tolist()
     objectives = dict(zip(index, _objectives(spec, points, index)))
     regime = np.flatnonzero(points.regime & ~points.scalar_only).tolist()
-    regime_errors = dict(zip(regime, _regime_errors(points, regime)))
+    errors = dict(zip(regime, _regime_errors(points, regime))) if regime else {}
 
     columns = zip(points.valid, *(x.tolist() for x in (
         points.dPhiLR, points.dPhiRL, points.cpRatio, points.magRatio,
@@ -454,7 +454,7 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
             rows[i] = SweepRow(grid[i], dphi_lr, dphi_rl, obj, cp_ratio,
                                budget_tau_coll, True, "")
         else:
-            regime_error = regime_errors.get(j, "")
+            regime_error = errors.get(j, "")
             reasons = constraints._reasons(
                 cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
                 spec.requireTauCollOver, duration,
