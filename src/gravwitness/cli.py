@@ -384,25 +384,25 @@ def main(argv=None) -> int:
         cfg, notes = ((None, None) if args.command == "defaults"
                       else _build_config(args))
         payload = _COMMANDS[args.command](args, cfg)
-    except (CliUsageError, ConfigError, FileNotFoundError,
+        # configuration warnings are data: a key of a JSON object, else
+        # stderr lines, which a failed --out write skips
+        if isinstance(payload, dict) and args.format == "json" and notes is not None:
+            payload["warnings"], notes = notes, None
+        text = render_payload(payload, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    # unreadable --config, unwritable --out (UnicodeDecodeError is a ValueError)
+    except (CliUsageError, ConfigError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (RegimeError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    # configuration warnings are data: a key of a JSON object, else stderr
-    if isinstance(payload, dict) and args.format == "json" and notes is not None:
-        payload["warnings"] = notes
-    else:
-        for note in notes or ():
-            print(f"warning: {note}", file=sys.stderr)
-    text = render_payload(payload, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    for note in notes or ():
+        print(f"warning: {note}", file=sys.stderr)
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -102,19 +102,27 @@ def modes_for_separation(separation: float, nModes: int = 4000,
                        kCutTimesR / separation)
 
 
+def _branch_phases(modes: FieldModeSet, config: ExperimentConfig,
+                   separations, t: float) -> dict[float, float]:
+    """`branch_phase` at each of ``separations``, all from one e^{-k/kCut}."""
+    for separation in separations:
+        if separation <= 0:
+            raise ValueError(f"separation must be positive, got {separation!r}")
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t!r}")
+    k, w = modes.kGrid, modes.weights
+    damping = np.exp(-k / modes.kCut)
+    pref = CONSTANTS.G * config.m1 * config.m2 * t / CONSTANTS.hbar
+    return {r: pref * (2.0 / np.pi) * float(np.sum(
+                w * (np.sinc(k * r / np.pi) * damping)))
+            for r in separations}
+
+
 def branch_phase(modes: FieldModeSet, config: ExperimentConfig,
                  separation: float, t: float) -> float:
     """Secular phase of one branch from the mode sum (cross term only;
     the position-independent self terms are a global phase)."""
-    if separation <= 0:
-        raise ValueError(f"separation must be positive, got {separation!r}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t!r}")
-    k, w = modes.kGrid, modes.weights
-    integrand = np.sinc(k * separation / np.pi) * np.exp(-k / modes.kCut)
-    quad = float(np.sum(w * integrand))
-    pref = CONSTANTS.G * config.m1 * config.m2 * t / CONSTANTS.hbar
-    return pref * (2.0 / np.pi) * quad
+    return _branch_phases(modes, config, (separation,), t)[separation]
 
 
 def newtonian_phase(config: ExperimentConfig, separation: float, t: float) -> float:
@@ -122,35 +130,33 @@ def newtonian_phase(config: ExperimentConfig, separation: float, t: float) -> fl
     return CONSTANTS.G * config.m1 * config.m2 * t / (CONSTANTS.hbar * separation)
 
 
-def _effective_couplings(modes: FieldModeSet, mass: float) -> np.ndarray:
-    # Shell-aggregated coupling: gbar^2 = g^2 V (4 pi k^2 w)/(2 pi)^3 with
-    # g = m c^2 sqrt(2 pi G/(hbar c^3 k V)); the volume cancels.  Half of the
-    # UV damping goes on each coupling so products carry e^{-k/kCut}.
-    k, w = modes.kGrid, modes.weights
-    return mass * np.sqrt(
-        CONSTANTS.G * CONSTANTS.c * k * w / (np.pi * CONSTANTS.hbar)
-    ) * np.exp(-k / (2.0 * modes.kCut))
-
-
 def _branches(modes: FieldModeSet, config: ExperimentConfig, t: float,
               positions: dict) -> dict[str, BranchDisplacements]:
     """alpha_k = (g1/w_k e^{i k x1} + g2/w_k e^{i k x2})(e^{i w_k t} - 1) per
-    branch (vacuum initial field), computing each factor once."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t!r}")
+    branch (vacuum initial field), computing each factor once.  An overflow
+    leaves alpha non-finite, which BranchDisplacements rejects; numpy does
+    not warn."""
+    phases = _branch_phases(modes, config,
+                            {abs(x2 - x1) for x1, x2 in positions.values()}, t)
     k = modes.kGrid
     omega = CONSTANTS.c * k
-    c1 = _effective_couplings(modes, config.m1) / omega
-    c2 = _effective_couplings(modes, config.m2) / omega
-    ring = np.exp(1j * omega * t) - 1.0
-    xs = {x for pos in positions.values() for x in pos}
-    waves = {x: np.exp(1j * k * x) for x in xs}
-    separations = {abs(x2 - x1) for x1, x2 in positions.values()}
-    phases = {r: branch_phase(modes, config, r, t) for r in separations}
-    return {b: BranchDisplacements(
-                modes=modes, alpha=(c1 * waves[x1] + c2 * waves[x2]) * ring,
-                branchPhase=phases[abs(x2 - x1)])
-            for b, (x1, x2) in positions.items()}
+    # Shell-aggregated coupling: gbar^2 = g^2 V (4 pi k^2 w)/(2 pi)^3 with
+    # g = m c^2 sqrt(2 pi G/(hbar c^3 k V)); the volume cancels.  Half of the
+    # UV damping goes on each coupling so products carry e^{-k/kCut}.
+    shell = np.sqrt(CONSTANTS.G * CONSTANTS.c * k * modes.weights
+                    / (np.pi * CONSTANTS.hbar))
+    damping = np.exp(-k / (2.0 * modes.kCut))
+    c1 = config.m1 * shell * damping / omega
+    c2 = c1 if config.m2 == config.m1 else config.m2 * shell * damping / omega
+    with np.errstate(all="ignore"):
+        ring = np.exp(1j * omega * t) - 1.0
+        x1s, x2s = map(set, zip(*positions.values()))
+        waves1 = {x1: c1 * np.exp(1j * k * x1) for x1 in x1s}
+        waves2 = {x2: c2 * np.exp(1j * k * x2) for x2 in x2s}
+        return {b: BranchDisplacements(
+                    modes=modes, alpha=(waves1[x1] + waves2[x2]) * ring,
+                    branchPhase=phases[abs(x2 - x1)])
+                for b, (x1, x2) in positions.items()}
 
 
 def displacements(modes: FieldModeSet, config: ExperimentConfig,
@@ -171,7 +177,8 @@ def branch_overlap(dA: BranchDisplacements, dB: BranchDisplacements) -> complex:
     |<a|b>| = exp(-|a-b|^2/2); the phase is sum Im(conj(a) b).  Magnitude is
     in (0, 1], and 1 exactly for identical branches.
     """
-    if not np.array_equal(dA.modes.kGrid, dB.modes.kGrid):
+    if dA.modes.kGrid is not dB.modes.kGrid and not np.array_equal(
+            dA.modes.kGrid, dB.modes.kGrid):
         raise ValueError("branch displacements built on mismatched mode grids")
     diff2 = float(np.sum(np.abs(dA.alpha - dB.alpha) ** 2))
     # Im(conj(a) b) written so identical branches give exactly zero phase

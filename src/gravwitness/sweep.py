@@ -2,7 +2,8 @@
 
 Grid sweeps validate each point on its own, then compute the phases,
 feasibility, decoherence budget and objective of the valid points as
-arrays, by the numpy-generic cores the scalar functions call.  The witness
+arrays, by the numpy-generic cores the scalar functions call; a grid where
+the scalar pipeline raises or may raise goes to it whole.  The witness
 objectives read the closed-form dephased <XZ>, <YZ>; the negativity
 objective builds and checks both spin states.  `run_sweep` builds a row at
 every point, in row-major axis order.  `maximize` scans the same arrays
@@ -248,41 +249,35 @@ def _scalar_objective(objective: str, dPhiLR: float, dPhiRL: float,
 
 def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
                     overrides: dict[str, float], scoring: bool = False):
-    """The row of the grid point ``overrides`` on ``base``.  With
-    ``scoring``, `_line_search`'s score instead, without a row: the
-    objective where the row is feasible and the objective finite, else
-    -inf; and the point's `_scalar_point`, None where it is invalid."""
+    """The row of the grid point ``overrides`` on ``base``, from its
+    `_scalar_point`.  With ``scoring``, `_line_search`'s score instead,
+    without a row: the objective where the row is feasible and the
+    objective finite, else -inf; and the point's `_scalar_point`, None
+    where it is invalid."""
     try:
         cfg = validate(_config(vars(base), overrides))
     except ConfigError as err:
         return ((-math.inf, None) if scoring
                 else _invalid_row(dict(overrides), str(err)))
-    if not scoring:
-        return _valid_row(cfg, spec, dict(overrides))
     point = _scalar_point(cfg)
-    dphi_lr, dphi_rl, cp_ratio, mag_ratio, tau_coll, _, duration, budget, \
-        regime_error = point
-    if regime_error or any(constraints._failing(
-            cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
-            spec.requireTauCollOver, duration)):
-        return -math.inf, point
-    value = _scalar_objective(spec.objective, dphi_lr, dphi_rl, budget)
-    return (value if math.isfinite(value) else -math.inf), point
-
-
-def _valid_row(cfg: ExperimentConfig, spec: SweepSpec,
-               params: dict[str, float]) -> SweepRow:
-    """The row of a validated configuration, from its `_scalar_point`."""
     dphi_lr, dphi_rl, cp_ratio, mag_ratio, tau_coll, coll_error, duration, \
-        budget, regime_error = _scalar_point(cfg)
+        budget, regime_error = point
+    if scoring:
+        if regime_error or any(constraints._failing(
+                cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
+                spec.requireTauCollOver, duration)):
+            return -math.inf, point
+        value = _scalar_objective(spec.objective, dphi_lr, dphi_rl, budget)
+        return (value if math.isfinite(value) else -math.inf), point
     reasons = constraints._reasons(cp_ratio, mag_ratio, spec.cpRatioMax,
                                    tau_coll, spec.requireTauCollOver,
                                    duration, coll_error)
     if budget is None:
-        return _row(params, dphi_lr, dphi_rl, cp_ratio, reasons, math.nan,
-                    regime_error, math.nan)
-    return _row(params, dphi_lr, dphi_rl, cp_ratio, reasons, budget.tauColl,
-                "", _scalar_objective(spec.objective, dphi_lr, dphi_rl, budget))
+        return _row(dict(overrides), dphi_lr, dphi_rl, cp_ratio, reasons,
+                    math.nan, regime_error, math.nan)
+    return _row(dict(overrides), dphi_lr, dphi_rl, cp_ratio, reasons,
+                budget.tauColl, "",
+                _scalar_objective(spec.objective, dphi_lr, dphi_rl, budget))
 
 
 def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
@@ -308,8 +303,9 @@ def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
     """`evaluate`'s numbers over a batch of validated configurations, from
     the numpy-generic cores.  ``scalar_only`` marks where `evaluate` raises
     or may raise: non-finite phases, a flip probability outside [0, 1], or
-    a non-finite number where a scalar step overflows or divides by zero.
-    ``regime`` marks the points out of the budget's regime; their p is 0."""
+    a nan where a scalar `pow` or `exp` overflows (an inf rate saturates
+    the budget, as in `evaluate`).  ``regime`` marks the points out of the
+    budget's regime; their p is 0."""
     with np.errstate(all="ignore"):
         phases = static_phases(batch)
         _, _, cp_ratio, mag_ratio = constraints._closest_approach(
@@ -318,12 +314,12 @@ def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
             batch, ARRAY_OPS)
         duration = decoherence.experiment_duration(batch)
         p = np.where(regime, 0.0, _flip_probability(budget))
-        rates_finite = (np.isfinite(budget.gammaColl) & np.isfinite(budget.gammaSc)
-                        & np.isfinite(budget.gammaEm) & np.isfinite(budget.gammaAbs))
+        rates_known = ~(np.isnan(budget.gammaColl) | np.isnan(budget.gammaSc)
+                        | np.isnan(budget.gammaEm) | np.isnan(budget.gammaAbs))
         scalar_only = ~(np.isfinite(phases.dPhiLR) & np.isfinite(phases.dPhiRL)
                         & (p >= 0.0) & (p <= 1.0)
                         & np.isfinite(cp_ratio) & np.isfinite(mag_ratio)
-                        & (coll_fired | rates_finite))
+                        & (coll_fired | rates_known))
     return SimpleNamespace(
         dPhiLR=phases.dPhiLR, dPhiRL=phases.dPhiRL, cpRatio=cp_ratio,
         magRatio=mag_ratio, collisionsFired=coll_fired, tauColl=tau_coll,
@@ -332,15 +328,15 @@ def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
 
 
 def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
-    """The stage `run_sweep` and `maximize` share.  ``grid`` holds each
-    point's overrides in row-major order, ``invalid`` the (grid index,
-    ConfigError message) of the points `validate` rejects, ``valid`` the
-    (grid index, validated configuration) of the others, and ``batch`` their
-    fields: axis columns, the derived dx, and the base's other numbers.
-    Then come `_stacked`'s columns over ``batch`` (all ``scalar_only`` where
-    a number every point shares divides by zero), the dephased ``cxz`` and
-    ``cyz``, and ``feasible``: the points in regime, not ``scalar_only``,
-    that pass every check of `constraints._failing`."""
+    """The stage `run_sweep` and `maximize` share: `_evaluate_point` at
+    every grid point, or at none.  ``grid`` holds each point's overrides
+    in row-major order.  Where `_stacked` flags a point ``scalar_only`` or
+    raises, ``rows`` holds `_evaluate_point`'s rows in row order.  Else
+    ``rows`` is None, ``invalid`` holds the (grid index, ConfigError
+    message) of the points `validate` rejects, ``valid`` the (grid index,
+    validated configuration) of the others, and ``batch`` their fields,
+    then come `_stacked`'s columns, the dephased ``cxz`` and ``cyz``, and
+    ``feasible``: the points in regime that pass `constraints._failing`."""
     names = [axis.name for axis in spec.axes]
     values = [axis.values() for axis in spec.axes]
     fields = vars(base)
@@ -361,15 +357,14 @@ def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
         batch.dx = np.array([cfg.dx for _, cfg in valid], dtype=float)
     try:
         st = vars(_stacked(batch))
-    except ArithmeticError:
-        # a number every point shares is a float, and divides by zero; the
-        # scalar pipeline raises that, or what the first point raises before
-        st = dict(dict.fromkeys(("dPhiLR", "dPhiRL", "cpRatio", "magRatio",
-                                 "tauColl", "duration", "budgetTauColl", "p"),
-                                math.nan),
-                  collisionsFired=False, regime=False, scalar_only=True)
-    points = SimpleNamespace(grid=grid, invalid=invalid, valid=valid,
-                             batch=batch, **{
+        scalar = st.pop("scalar_only").any()
+    except ArithmeticError:     # a shared float divides by zero
+        scalar = True
+    if scalar:
+        return SimpleNamespace(grid=grid, rows=[
+            _evaluate_point(base, spec, overrides) for overrides in grid])
+    points = SimpleNamespace(grid=grid, rows=None, invalid=invalid,
+                             valid=valid, batch=batch, **{
         name: np.broadcast_to(x, (len(valid),)) for name, x in st.items()})
     with np.errstate(all="ignore"):
         points.cxz, points.cyz = spinstate.dephased_correlators(
@@ -377,16 +372,16 @@ def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
         cp, mag, coll = constraints._failing(
             points.cpRatio, points.magRatio, spec.cpRatioMax, points.tauColl,
             spec.requireTauCollOver, points.duration)
-    points.feasible = ~(points.scalar_only | points.regime | cp | mag | coll)
+    points.feasible = ~(points.regime | cp | mag | coll)
     return points
 
 
 def _objectives(spec: SweepSpec, points: SimpleNamespace,
                 index) -> list[float]:
     """The objective at the `_grid_points` entries ``index``, none of them
-    scalar-only or out of regime, each equal to `_valid_row`'s.  The
-    negativity objective builds both density matrices as stacks and checks
-    each as `entangled_state` and `apply_dephasing` would."""
+    out of regime, each equal to `_evaluate_point`'s.  The negativity
+    objective builds both density matrices as stacks and checks each as
+    `entangled_state` and `apply_dephasing` would."""
     correlators = zip(points.cxz[index].tolist(), points.cyz[index].tolist())
     if spec.objective == "negativity":
         with np.errstate(all="ignore"):
@@ -427,30 +422,29 @@ def _regime_errors(points: SimpleNamespace, index: list[int]) -> list[str]:
 
 
 def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
-    """`_evaluate_point` at every grid point, from `_grid_points`; its
-    ``scalar_only`` points go to `_valid_row` in row order, so the sweep
-    raises what the scalar sweep raises."""
+    """`_evaluate_point` at every grid point: the scalar pipeline's rows
+    where it takes the grid whole, else built from `_grid_points`'s
+    columns."""
     points = _grid_points(spec, base)
+    if points.rows is not None:
+        return points.rows
     grid = points.grid
     rows: list[SweepRow | None] = [None] * len(grid)
     for i, error in points.invalid:
         rows[i] = _invalid_row(grid[i], error)
-    index = np.flatnonzero(~(points.scalar_only | points.regime)).tolist()
+    index = np.flatnonzero(~points.regime).tolist()
     objectives = dict(zip(index, _objectives(spec, points, index)))
-    regime = np.flatnonzero(points.regime & ~points.scalar_only).tolist()
+    regime = np.flatnonzero(points.regime).tolist()
     errors = dict(zip(regime, _regime_errors(points, regime))) if regime else {}
 
     columns = zip(points.valid, *(x.tolist() for x in (
         points.dPhiLR, points.dPhiRL, points.cpRatio, points.magRatio,
         points.collisionsFired, points.tauColl, points.duration,
-        points.budgetTauColl, points.scalar_only, points.feasible)))
-    for j, ((i, cfg), dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired,
-            tau_coll, duration, budget_tau_coll, scalar,
-            feasible) in enumerate(columns):
+        points.budgetTauColl, points.feasible)))
+    for j, ((i, _), dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired,
+            tau_coll, duration, budget_tau_coll, feasible) in enumerate(columns):
         obj = objectives.get(j, math.nan)
-        if scalar:
-            rows[i] = _valid_row(cfg, spec, grid[i])
-        elif feasible:
+        if feasible:
             rows[i] = SweepRow(grid[i], dphi_lr, dphi_rl, obj, cp_ratio,
                                budget_tau_coll, True, "")
         else:
@@ -467,30 +461,27 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
 
 def _start_row(spec: SweepSpec, base: ExperimentConfig) -> SweepRow:
     """The first `run_sweep` row with the largest finite objective among
-    the feasible rows, the only row built: a scan of the ``feasible`` and
-    ``scalar_only`` points, in row order, that raises what `run_sweep`
-    raises, and ValueError when no row qualifies."""
+    the feasible rows; ValueError when no row qualifies.  Where the scalar
+    pipeline takes the grid whole, one of its rows; else the only row
+    built, at the first maximum of the feasible points' objectives."""
     points = _grid_points(spec, base)
+    if points.rows is not None:
+        rows = [row for row in points.rows
+                if row.feasible and math.isfinite(row.objective)]
+        if not rows:
+            raise ValueError("no feasible grid point to start from")
+        return max(rows, key=lambda row: row.objective)
     feasible = np.flatnonzero(points.feasible)
-    values = dict(zip(feasible.tolist(), _objectives(spec, points, feasible)))
-    best, best_row, best_value = None, None, -math.inf
-    for j in np.flatnonzero(points.scalar_only | points.feasible).tolist():
-        row = None
-        if j in values:
-            value = values[j]
-        else:
-            i, cfg = points.valid[j]
-            row = _valid_row(cfg, spec, points.grid[i])
-            value = row.objective if row.feasible else math.nan
-        if math.isfinite(value) and value > best_value:
-            best, best_row, best_value = j, row, value
-    if best is None:
+    values = _objectives(spec, points, feasible)
+    objective = np.array(values, dtype=float)
+    finite = np.isfinite(objective)
+    if not finite.any():
         raise ValueError("no feasible grid point to start from")
-    if best_row is not None:
-        return best_row
+    k = int(np.argmax(np.where(finite, objective, -np.inf)))
+    best = feasible[k]
     return SweepRow(points.grid[points.valid[best][0]],
                     points.dPhiLR[best].item(), points.dPhiRL[best].item(),
-                    best_value, points.cpRatio[best].item(),
+                    values[k], points.cpRatio[best].item(),
                     points.budgetTauColl[best].item(), True, "")
 
 

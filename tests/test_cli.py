@@ -449,3 +449,39 @@ def test_non_finite_numbers_are_strict_json_nulls(capsys):
     assert invalid["objective"] is None
     assert invalid["nonFinite"] == ["dPhiLR", "dPhiRL", "objective",
                                     "cpRatio", "tauColl"]
+
+
+@pytest.mark.parametrize("case", ["config directory", "config not utf-8",
+                                  "out into a missing directory",
+                                  "out onto a directory",
+                                  "csv out with a configuration warning"])
+def test_unreadable_config_and_unwritable_out_are_usage_errors(tmp_path,
+                                                                capsys, case):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"tau": 2.5} \N{DEGREE SIGN}'.encode("latin-1"))
+    argv = {"config directory": ["--config", str(tmp_path)],
+            "config not utf-8": ["--config", str(latin1)],
+            "out into a missing directory": [
+                "--paper-defaults", "--out", str(tmp_path / "no" / "out.json")],
+            "out onto a directory": ["--paper-defaults", "--out", str(tmp_path)],
+            # the paper's explicit dx is off its kinematic value: a warning
+            # line on stderr, had the write succeeded
+            "csv out with a configuration warning": [
+                "--paper-defaults", "--format", "csv",
+                "--out", str(tmp_path / "no" / "out.csv")],
+            }[case]
+    code, out, err = run_cli(capsys, "witness", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_field_overflow_is_one_error_and_no_numpy_warning(capsys):
+    # e^{i w t} overflows at this time: alpha is not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["field", "--paper-defaults", "--time", "1e300"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: alpha contains non-finite entries\n"

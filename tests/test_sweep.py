@@ -756,6 +756,59 @@ def test_witness_grid_calls_no_scalar_report(paper_config, scalar_calls):
     assert scalar_calls["dephasing_budget"] <= regime_rows
 
 
+@pytest.fixture
+def scalar_points(monkeypatch):
+    """The configurations `sweep._scalar_point` is called with."""
+    calls = []
+    original = sweep._scalar_point
+
+    def counting(cfg):
+        calls.append(cfg)
+        return original(cfg)
+    monkeypatch.setattr(sweep, "_scalar_point", counting)
+    return calls
+
+
+# up to a pressure where n vbar pi R^2 overflows: the collision rate is inf
+# and the budget saturated, in the scalar pipeline as in the batch
+_SATURATING_AXES = (SweepAxis("pressure", 1e-15, 1e300, 6, "log"),
+                    SweepAxis("tau", 0.5, 8.0, 3))
+
+
+@pytest.mark.parametrize("axes", [_DENSE_AXES, _SATURATING_AXES])
+def test_batched_grids_call_no_scalar_pipeline(paper_config, scalar_points,
+                                               axes):
+    for objective in OBJECTIVES:
+        spec = SweepSpec(axes=axes, objective=objective)
+        rows = run_sweep(spec, paper_config).rows
+        _outcome(sweep._start_row, spec, paper_config)
+        assert scalar_points == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConfigConsistencyWarning)
+            expected = _scalar_rows(spec, paper_config)
+        assert [repr(r) for r in rows] == [repr(r) for r in expected]
+        scalar_points.clear()
+    if axes is _SATURATING_AXES:
+        assert any(r.tauColl == 0.0 for r in rows)
+
+
+def test_a_grid_the_batch_cannot_take_goes_whole_to_the_scalar_pipeline(
+        paper_config, scalar_points):
+    # kT**9 overflows at a tEnv every point shares: every row is the
+    # scalar pipeline's, invalid ones included
+    base = dataclasses.replace(paper_config, tEnv=1e32)
+    spec = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 3),
+                           SweepAxis("dx", 1e-4, 5.5e-4, 4)))
+    rows = run_sweep(spec, base).rows
+    valid = sum(not r.reason.startswith("invalid config") for r in rows)
+    assert 0 < valid < len(rows)
+    assert len(scalar_points) == valid
+    scalar_points.clear()
+    with pytest.raises(ValueError, match="feasible"):
+        sweep._start_row(spec, base)
+    assert len(scalar_points) == valid
+
+
 # ------------------------------------------------ spin states a sweep builds
 
 # invalid, regime-error, infeasible and feasible rows
