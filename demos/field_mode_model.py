@@ -47,4 +47,4 @@ print(f"  negativity, direct spin model:    {gw.negativity(spin):.6f}")
 print(f"  negativity, field made classical: {gw.negativity(classical):.6f}")
 _, w_classical = gw.optimize_witness(classical)
 print(f"  best witness on the classicalized state: {w_classical.w:.6f} "
-      f"(cannot exceed the separable bound 1)")
+      f"(W reaches sqrt(2) on product states too: the negativity decides)")

@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 from . import constraints as constraints_mod
@@ -183,9 +184,10 @@ def _cmd_witness(args, cfg):
     if ev.dephased is None:
         payload["dephasingRegimeError"] = ev.regimeError
     else:
+        dephased = spinstate.witness(ev.dephased)
         payload["totalDephasing"] = ev.budget.totalDephasing
-        payload["wDephased"] = spinstate.witness(ev.dephased).w
-        payload["negativityDephased"] = spinstate.negativity(ev.dephased)
+        payload["wDephased"] = dephased.w
+        payload["negativityDephased"] = dephased.negativity
     return payload
 
 
@@ -383,6 +385,10 @@ def main(argv=None) -> int:
         # `defaults` reads no configuration and has no notes
         cfg, notes = ((None, None) if args.command == "defaults"
                       else _build_config(args))
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(
+                os.path.dirname(args.out) or os.curdir)):
+            # open fails here as the write would, so it creates nothing
+            open(args.out, "w").close()
         payload = _COMMANDS[args.command](args, cfg)
         # configuration warnings are data: a key of a JSON object, else
         # stderr lines, which a failed --out write skips

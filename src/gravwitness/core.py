@@ -126,23 +126,6 @@ _BOUNDS.update(tInt=(0.0, True), chiM=(-math.inf, False), epsRel=(1.0, False))
 _LAST_BOUNDS = ("epsRel", "tInt")
 
 
-def _range_problems(config: ExperimentConfig) -> list[str]:
-    """A message for each field outside its `_BOUNDS` range, in field order,
-    the bounds of `_LAST_BOUNDS` last."""
-    problems, last = [], {}
-    for name, (lower, closed) in _BOUNDS.items():
-        value = getattr(config, name)
-        if not _finite_number(value):
-            problems.append(f"{name} must be a finite number, got {value!r}")
-        elif not (lower <= value if closed else lower < value):
-            msg = f"{name} must be {'>=' if closed else '>'} {lower:g}, got {value!r}"
-            if name in _LAST_BOUNDS:
-                last[name] = msg
-            else:
-                problems.append(msg)
-    return problems + [last[name] for name in _LAST_BOUNDS if name in last]
-
-
 def validate(config: ExperimentConfig) -> ExperimentConfig:
     """Check every invariant and return the validated configuration.
 
@@ -152,18 +135,27 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     Raises ConfigError naming every violated invariant.  Idempotent:
     ``validate(validate(c)) == validate(c)``.
     """
-    problems: list[str] = []
+    problems = None     # made at the first field that is not a plain float
     for name, (lower, closed) in _BOUNDS.items():
         value = getattr(config, name)
-        # a plain float in range passes one chained test; at the first
-        # field that does not, every field is checked for its message
-        if not (type(value) is float and value < math.inf
+        # a plain float in range passes one chained test
+        if (type(value) is float and value < math.inf
                 and (lower <= value if closed else lower < value)):
-            problems = _range_problems(config)
-            break
-
-    if problems:
-        raise ConfigError("; ".join(problems))
+            continue
+        if problems is None:
+            problems, last = [], {}
+        if not _finite_number(value):
+            problems.append(f"{name} must be a finite number, got {value!r}")
+        elif not (lower <= value if closed else lower < value):
+            msg = f"{name} must be {'>=' if closed else '>'} {lower:g}, got {value!r}"
+            if name in _LAST_BOUNDS:
+                last[name] = msg
+            else:
+                problems.append(msg)
+    if problems is not None:
+        problems += [last[name] for name in _LAST_BOUNDS if name in last]
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     try:
         dx_kinematic = _kinematic_split(config.dBdx, config.tauAcc, config.m1)

@@ -141,8 +141,9 @@ def witness(state: TwoQubitState, settings: WitnessSettings | None = None) -> Wi
     """Evaluate W = |<sx x sz> - <sy x sz>| after the local z-rotations.
 
     The rotated correlators follow in closed form from the unrotated ones;
-    thetaZ2 has no effect.  W > 1 certifies entanglement; the negativity of
-    the unrotated state is reported alongside as the exact criterion.
+    thetaZ2 has no effect.  W <= sqrt(2) on every state and a product state
+    reaches sqrt(2), so no value of W certifies entanglement; the negativity
+    of the unrotated state, reported alongside, is the exact criterion.
     """
     settings = WitnessSettings() if settings is None else settings
     w, exz, eyz = _rotated_w(settings.thetaZ1, expectation(state, "X", "Z"),

@@ -10,10 +10,10 @@ every point, in row-major axis order.  `maximize` scans the same arrays
 for the best feasible point, builds that one row, and refines it by a
 deterministic coordinate descent with golden-section line searches.
 
-`evaluate`, the scalar pipeline to the dephased spin state, serves the CLI
-`witness`.  `_scalar_point` computes a row's numbers by the same cores in
-the same order: the scalar rows, which every grid row equals bit for bit,
-and the line-search scores read it.  `validate` issues no warning, so
+There is one scalar pipeline, `_scalar_point`.  `evaluate` runs it for the
+CLI `witness`, and the scalar rows, which every grid row equals bit for
+bit, and the line-search scores read it.  `_row` builds every valid row,
+scalar or batched, from its numbers.  `validate` issues no warning, so
 nothing here filters any.
 """
 
@@ -34,7 +34,7 @@ from . import constraints, decoherence, spinstate
 from .constraints import ConstraintReport, feasibility_report
 from .core import (ARRAY_OPS, FLOAT_OPS, ConfigError, ExperimentConfig,
                    FIELD_NAMES, RegimeError, validate)
-from .decoherence import DecoherenceRates, dephasing_budget
+from .decoherence import DecoherenceRates
 from .gravphase import PhaseSet, static_phases
 
 OBJECTIVES = ("negativity", "witness", "witnessOptimized")
@@ -183,20 +183,12 @@ class Evaluation:
 def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
              tauCollOver: float = 1.0) -> Evaluation:
     """Phases, feasibility and decoherence budget of a validated
-    configuration, with its noiseless and dephased spin states.  Raises, in
-    pipeline order, on non-finite phases or a flip probability outside
-    [0, 1]."""
-    phases = static_phases(config)
+    configuration, with its noiseless and dephased spin states: the
+    `_scalar_point` a sweep row reads, and the full `feasibility_report`."""
+    phases, *_, budget, regime_error = _scalar_point(config)
     report = feasibility_report(config, targetRatio=cpRatioMax,
                                 tauCollFactor=tauCollOver)
-    spinstate._check_phases(phases.dPhiLR, phases.dPhiRL)
-    try:
-        budget = dephasing_budget(config)
-    except RegimeError as err:
-        return Evaluation(phases, report, None, str(err))
-    p = _flip_probability(budget)
-    spinstate._check_probabilities(p, p)
-    return Evaluation(phases, report, budget)
+    return Evaluation(phases, report, budget, regime_error)
 
 
 def _config(fields: dict, overrides: dict) -> ExperimentConfig:
@@ -212,11 +204,11 @@ def _config(fields: dict, overrides: dict) -> ExperimentConfig:
 
 
 def _scalar_point(cfg: ExperimentConfig) -> tuple:
-    """What a row reads of a validated configuration, by `evaluate`'s cores
-    in its order, so it raises what `evaluate` raises: dPhiLR, dPhiRL,
+    """The scalar pipeline of a validated configuration: the PhaseSet,
     cpRatio, magRatio, the collisional tauColl (nan where its guard fires)
-    and guard message, the duration, the DecoherenceRates (None where a
-    guard fires) and the first guard's message; a message is "" if none."""
+    and message, the duration, the DecoherenceRates (None where a guard
+    fires) and the first guard's message; a message is "" if none.  Raises,
+    in pipeline order, on non-finite phases or a flip p outside [0, 1]."""
     phases = static_phases(cfg)
     _, _, cp_ratio, mag_ratio = constraints._closest_approach(cfg, 0.0,
                                                               FLOAT_OPS)
@@ -232,19 +224,17 @@ def _scalar_point(cfg: ExperimentConfig) -> tuple:
     else:
         p = _flip_probability(budget)
         spinstate._check_probabilities(p, p)
-    return (phases.dPhiLR, phases.dPhiRL, cp_ratio, mag_ratio, tau_coll,
-            coll_error, decoherence.experiment_duration(cfg), budget,
-            regime_error)
+    return (phases, cp_ratio, mag_ratio, tau_coll, coll_error,
+            decoherence.experiment_duration(cfg), budget, regime_error)
 
 
-def _scalar_objective(objective: str, dPhiLR: float, dPhiRL: float,
+def _scalar_objective(objective: str, phases: PhaseSet,
                       budget: DecoherenceRates) -> float:
     """The objective of `evaluate`'s dephased state."""
-    p = _flip_probability(budget)
-    cxz, cyz = spinstate.dephased_correlators(dPhiLR, dPhiRL, p)
+    lr, rl, p = phases.dPhiLR, phases.dPhiRL, _flip_probability(budget)
+    cxz, cyz = spinstate.dephased_correlators(lr, rl, p)
     return _objective_value(objective, float(cxz), float(cyz), lambda: (
-        spinstate.apply_dephasing(spinstate.entangled_state(dPhiLR, dPhiRL),
-                                  p, p)))
+        spinstate.apply_dephasing(spinstate.entangled_state(lr, rl), p, p)))
 
 
 def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
@@ -260,24 +250,20 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
         return ((-math.inf, None) if scoring
                 else _invalid_row(dict(overrides), str(err)))
     point = _scalar_point(cfg)
-    dphi_lr, dphi_rl, cp_ratio, mag_ratio, tau_coll, coll_error, duration, \
-        budget, regime_error = point
+    phases, cp_ratio, mag_ratio, tau_coll, coll_error, duration, budget, \
+        regime_error = point
+    if scoring and (regime_error or any(constraints._failing(
+            cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
+            spec.requireTauCollOver, duration))):
+        return -math.inf, point
+    value = (math.nan if budget is None
+             else _scalar_objective(spec.objective, phases, budget))
     if scoring:
-        if regime_error or any(constraints._failing(
-                cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
-                spec.requireTauCollOver, duration)):
-            return -math.inf, point
-        value = _scalar_objective(spec.objective, dphi_lr, dphi_rl, budget)
         return (value if math.isfinite(value) else -math.inf), point
-    reasons = constraints._reasons(cp_ratio, mag_ratio, spec.cpRatioMax,
-                                   tau_coll, spec.requireTauCollOver,
-                                   duration, coll_error)
-    if budget is None:
-        return _row(dict(overrides), dphi_lr, dphi_rl, cp_ratio, reasons,
-                    math.nan, regime_error, math.nan)
-    return _row(dict(overrides), dphi_lr, dphi_rl, cp_ratio, reasons,
-                budget.tauColl, "",
-                _scalar_objective(spec.objective, dphi_lr, dphi_rl, budget))
+    return _row(spec, dict(overrides), phases.dPhiLR, phases.dPhiRL,
+                cp_ratio, mag_ratio, tau_coll, duration, coll_error,
+                regime_error, math.nan if budget is None else budget.tauColl,
+                value)
 
 
 def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
@@ -285,17 +271,23 @@ def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
     return SweepRow(params, *[math.nan] * 5, False, f"invalid config: {error}")
 
 
-def _row(params: dict[str, float], dPhiLR: float, dPhiRL: float,
-         cpRatio: float, reasons: list[str], tauColl: float,
-         regimeError: str, objective: float) -> SweepRow:
-    """The row of a valid configuration; ``regimeError`` is the message of
-    the budget's regime guard that fired, if one did."""
+def _row(spec: SweepSpec, params: dict[str, float], dPhiLR: float,
+         dPhiRL: float, cpRatio: float, magRatio: float, tauColl: float,
+         duration: float, collError: str, regimeError: str,
+         budgetTauColl: float, objective: float) -> SweepRow:
+    """The row of a valid configuration, scalar or batched: the
+    `constraints._reasons` of its numbers, then the budget guard's message
+    ``regimeError`` unless a reason already, with a nan tauColl."""
+    reasons = constraints._reasons(cpRatio, magRatio, spec.cpRatioMax,
+                                   tauColl, spec.requireTauCollOver,
+                                   duration, collError)
     if regimeError:
+        budgetTauColl = math.nan
         msg = f"decoherence regime: {regimeError}"
         if msg not in reasons:
             reasons.append(msg)
     # positional, in field order: keywords cost more than the rest of a row
-    return SweepRow(params, dPhiLR, dPhiRL, objective, cpRatio, tauColl,
+    return SweepRow(params, dPhiLR, dPhiRL, objective, cpRatio, budgetTauColl,
                     not reasons, "; ".join(reasons))
 
 
@@ -449,13 +441,10 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
                                budget_tau_coll, True, "")
         else:
             regime_error = errors.get(j, "")
-            reasons = constraints._reasons(
-                cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
-                spec.requireTauCollOver, duration,
-                regime_error if coll_fired else "")
-            rows[i] = _row(grid[i], dphi_lr, dphi_rl, cp_ratio, reasons,
-                           math.nan if regime_error else budget_tau_coll,
-                           regime_error, obj)
+            rows[i] = _row(spec, grid[i], dphi_lr, dphi_rl, cp_ratio,
+                           mag_ratio, tau_coll, duration,
+                           regime_error if coll_fired else "", regime_error,
+                           budget_tau_coll, obj)
     return rows
 
 
@@ -505,8 +494,8 @@ def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
         trial = {**params, axis.name: from_x(x)}
         value, point = _evaluate_point(base, spec, trial, True)
         if value > best.objective:      # feasible: a row without reasons
-            best = SweepRow(trial, point[0], point[1], value, point[2],
-                            point[7].tauColl, True, "")
+            best = SweepRow(trial, point[0].dPhiLR, point[0].dPhiRL, value,
+                            point[1], point[6].tauColl, True, "")
         return value
 
     a, b = to_x(axis.min), to_x(axis.max)

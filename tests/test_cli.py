@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from gravwitness import gravfield
+from gravwitness import gravfield, sweep as sweep_mod
 from gravwitness.cli import build_parser, main
 from gravwitness.core import (ConfigConsistencyWarning, config_from_dict,
                               paper_defaults, validate)
@@ -485,3 +485,22 @@ def test_field_overflow_is_one_error_and_no_numpy_warning(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: alpha contains non-finite entries\n"
+
+
+@pytest.mark.parametrize("parts, error", [
+    (("no", "rows.csv"), "[Errno 2] No such file or directory"),
+    ((), "[Errno 21] Is a directory"),
+])
+def test_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch,
+                                               parts, error):
+    def run_sweep(*args):
+        raise AssertionError("the sweep ran before --out was checked")
+    monkeypatch.setattr(sweep_mod, "run_sweep", run_sweep)
+    path = str(tmp_path.joinpath(*parts))
+    code, out, err = run_cli(capsys, "sweep", "--paper-defaults",
+                             "--axis", "tau:0.5:8:4", "--format", "csv",
+                             "--out", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {error}: {path!r}\n"
+    assert list(tmp_path.iterdir()) == []

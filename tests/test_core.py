@@ -86,6 +86,24 @@ def test_validate_lists_every_violation():
         assert name in str(err.value)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(tau="2.5", m1=math.nan, epsRel=0.5, tInt=-1.0, chiM=math.inf,
+          pressure=0.0),
+     "m1 must be a finite number, got nan; tau must be a finite number, "
+     "got '2.5'; pressure must be > 0, got 0.0; chiM must be a finite "
+     "number, got inf; epsRel must be > 1, got 0.5; tInt must be >= 0, "
+     "got -1.0"),
+    (dict(epsRel=0.5, tInt=-1.0, d=-1.0),
+     "d must be > 0, got -1.0; epsRel must be > 1, got 0.5; tInt must be "
+     ">= 0, got -1.0"),
+])
+def test_validate_message_order(fields, message):
+    # field order, then the epsRel and tInt bounds after every other problem
+    with pytest.raises(ConfigError) as err:
+        validate(dataclasses.replace(paper_defaults(), **fields))
+    assert str(err.value) == message
+
+
 def test_validate_rejects_touching_spheres():
     cfg = dataclasses.replace(paper_defaults(), radius=120e-6)
     with pytest.raises(ConfigError, match="radius"):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from gravwitness import constraints, decoherence, sweep
 from gravwitness.constraints import feasibility_report
-from gravwitness.core import (ARRAY_OPS, ConfigConsistencyWarning, ConfigError,
-                              ExperimentConfig, RegimeError, load_config,
-                              paper_defaults, validate)
+from gravwitness.core import (ARRAY_OPS, FLOAT_OPS, ConfigConsistencyWarning,
+                              ConfigError, ExperimentConfig, RegimeError,
+                              load_config, paper_defaults, validate)
 from gravwitness.decoherence import collisional_time, dephasing_budget
 from gravwitness.gravphase import static_phases
 from gravwitness.spinstate import TwoQubitState, negativity
@@ -604,13 +604,15 @@ def test_maximize_builds_one_row_from_its_start_grid(paper_config,
         finally:
             searching.pop()
 
-    def budget(cfg):
-        counts["grid budgets"] += not searching
-        return dephasing_budget(cfg)
+    scalar_budget = decoherence._budget
+
+    def budget(cfg, ops):
+        counts["grid budgets"] += ops is FLOAT_OPS and not searching
+        return scalar_budget(cfg, ops)
 
     monkeypatch.setattr(sweep, "SweepRow", row)
     monkeypatch.setattr(sweep, "_evaluate_point", evaluate_point)
-    monkeypatch.setattr(sweep, "dephasing_budget", budget)
+    monkeypatch.setattr(decoherence, "_budget", budget)
     maximize(spec, paper_config)
     assert counts["evaluations"] > 0
     assert counts["rows"] <= 1 + counts["evaluations"]
@@ -732,17 +734,22 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
 
 @pytest.fixture
 def scalar_calls(monkeypatch):
-    """Calls of the scalar feasibility_report and dephasing_budget, by name."""
-    calls = {"feasibility_report": 0, "dephasing_budget": 0}
-    for module, name in ((constraints, "feasibility_report"),
-                         (decoherence, "dephasing_budget")):
-        original = getattr(module, name)
+    """Calls of the scalar feasibility_report, and of the scalar budget:
+    `decoherence._budget` with FLOAT_OPS, which dephasing_budget, evaluate
+    and the sweep's scalar pipeline all reach."""
+    calls = {"feasibility_report": 0, "budget": 0}
+    report, budget = feasibility_report, decoherence._budget
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(module, name, counting)
-        monkeypatch.setattr(sweep, name, counting)
+    def counting_report(*args, **kwargs):
+        calls["feasibility_report"] += 1
+        return report(*args, **kwargs)
+
+    def counting_budget(config, ops):
+        calls["budget"] += ops is FLOAT_OPS
+        return budget(config, ops)
+    monkeypatch.setattr(constraints, "feasibility_report", counting_report)
+    monkeypatch.setattr(sweep, "feasibility_report", counting_report)
+    monkeypatch.setattr(decoherence, "_budget", counting_budget)
     return calls
 
 
@@ -753,7 +760,7 @@ def test_witness_grid_calls_no_scalar_report(paper_config, scalar_calls):
     assert regime_rows > 0
     assert scalar_calls["feasibility_report"] == 0
     # a regime row reads its guard's message from the scalar budget
-    assert scalar_calls["dephasing_budget"] <= regime_rows
+    assert scalar_calls["budget"] <= regime_rows
 
 
 @pytest.fixture
@@ -915,16 +922,23 @@ def test_line_search_score_is_the_rows(paper_config, probe, fields, kinematic):
         assert repr(scored[0]) == repr(want)
 
 
-@given(probe=probes(), kinematic=st.booleans())
-@example(probe=_mixed_probe("witness", tEnv=20.0), kinematic=False)
-@example(probe=_mixed_probe("witness", dx=1e-9), kinematic=False)
-@example(probe=_mixed_probe("negativity", pressure=1e-12), kinematic=False)
-@settings(max_examples=100, deadline=None)
-def test_scalar_rows_read_what_evaluate_gives(paper_config, probe, kinematic):
+@given(probe=probes(), fields=st.sampled_from(_PROBE_BASES),
+       kinematic=st.booleans())
+@example(probe=_mixed_probe("witness", tEnv=20.0), fields={},
+         kinematic=False)
+@example(probe=_mixed_probe("witness", dx=1e-9), fields={}, kinematic=False)
+@example(probe=_mixed_probe("negativity", pressure=1e-12), fields={},
+         kinematic=False)
+@settings(max_examples=150, deadline=None)
+def test_scalar_rows_read_what_evaluate_gives(paper_config, probe, fields,
+                                              kinematic):
     # evaluate, with its full feasibility report and budget, is the
-    # reference for the numbers a row and a line-search score read
+    # reference for the numbers a row and a line-search score read, and
+    # raises what the row raises
     spec, overrides = probe
-    base = _kinematic_unequal(paper_config) if kinematic else paper_config
+    base = dataclasses.replace(
+        _kinematic_unequal(paper_config) if kinematic else paper_config,
+        **fields)
     try:
         cfg = validate(dataclasses.replace(base, **overrides))
     except ConfigError:
