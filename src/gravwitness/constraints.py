@@ -38,9 +38,9 @@ def casimir_polder_potential(config: ExperimentConfig, r: float,
         raise ValueError(
             f"spheres overlap: separation {r!r} m <= 2*radius {2 * config.radius!r} m"
         )
-    return (23.0 * CONSTANTS.hbar * CONSTANTS.c * ops.pow(config.radius, 6)
-            * decoherence.dielectric_factor(config.epsRel, ops)
-            / (4.0 * math.pi * ops.pow(r, 7)))
+    vcp = (23.0 * CONSTANTS.hbar * CONSTANTS.c * ops.pow(config.radius, 6)
+           * decoherence.dielectric_factor(config.epsRel, ops))
+    return ops.divide(vcp, 4.0 * math.pi * ops.pow(r, 7))
 
 
 def gravitational_potential(config: ExperimentConfig, r: float,
@@ -53,9 +53,10 @@ def gravitational_potential(config: ExperimentConfig, r: float,
 
 def cp_ratio(config: ExperimentConfig, r: float | None = None) -> float:
     """Casimir-Polder to gravitational potential ratio at closest approach
-    (or at ``r`` when given)."""
+    (or at ``r`` when given), inf where gravity underflows to 0."""
     r = config.d - config.dx if r is None else r
-    return casimir_polder_potential(config, r) / gravitational_potential(config, r)
+    return FLOAT_OPS.divide(casimir_polder_potential(config, r),
+                            gravitational_potential(config, r))
 
 
 def min_separation(config: ExperimentConfig, targetRatio: float) -> float:
@@ -84,7 +85,8 @@ def _dipole_energy(config: ExperimentConfig, bResidual: float, r: float,
         raise ValueError(f"bResidual must be >= 0, got {bResidual!r}")
     mu_ind = (config.chiM * (4.0 / 3.0) * math.pi * ops.pow(config.radius, 3)
               * bResidual / CONSTANTS.mu0)
-    return CONSTANTS.mu0 * ops.pow(mu_ind, 2) / (4.0 * math.pi * ops.pow(r, 3))
+    return ops.divide(CONSTANTS.mu0 * ops.pow(mu_ind, 2),
+                      4.0 * math.pi * ops.pow(r, 3))
 
 
 def magnetic_interaction_ratio(config: ExperimentConfig, bResidual: float,
@@ -97,18 +99,18 @@ def magnetic_interaction_ratio(config: ExperimentConfig, bResidual: float,
     ``ops=ARRAY_OPS``.
     """
     r = config.d - config.dx
-    return (_dipole_energy(config, bResidual, r, ops)
-            / gravitational_potential(config, r, ops))
+    return ops.divide(_dipole_energy(config, bResidual, r, ops),
+                      gravitational_potential(config, r, ops))
 
 
 def _closest_approach(config: ExperimentConfig, bResidual: float, ops: Ops):
     """The core of `feasibility_report`: (vCP, vGrav, cpRatio, magRatio) at
-    the closest approach r = d - dx."""
+    the closest approach r = d - dx, a ratio inf where vGrav is 0."""
     r = config.d - config.dx
     vcp = casimir_polder_potential(config, r, ops)
     vg = gravitational_potential(config, r, ops)
-    ratio = vcp / vg
-    return vcp, vg, ratio, _dipole_energy(config, bResidual, r, ops) / vg
+    return (vcp, vg, ops.divide(vcp, vg),
+            ops.divide(_dipole_energy(config, bResidual, r, ops), vg))
 
 
 def _failing(cpRatio, magRatio, targetRatio, tauColl, tauCollFactor,
@@ -148,13 +150,18 @@ def feasibility_report(config: ExperimentConfig, targetRatio: float = 0.1,
     """Aggregate feasibility: Casimir-Polder and magnetic backgrounds below
     ``targetRatio`` of gravity, and collisional coherence lasting at least
     ``tauCollFactor`` times the full drop tau + 2 tauAcc.  The numbers and
-    reasons come from the cores the batched sweep calls on arrays."""
+    reasons come from the cores the batched sweep calls on arrays.  Raises
+    ValueError for targets it cannot compare with, as `SweepSpec` does."""
+    if not targetRatio > 0:
+        raise ValueError(f"targetRatio must be positive, got {targetRatio!r}")
+    if not tauCollFactor >= 1.0:
+        raise ValueError(f"tauCollFactor must be >= 1, got {tauCollFactor!r}")
     vcp, vg, ratio, mag = _closest_approach(config, bResidual, FLOAT_OPS)
     r = config.d - config.dx
     # the root of min_separation; outside [contact, 1 m] the ratio is on one
     # side of the target everywhere: below it down to contact, or above it
     # out to a metre
-    root = r * (ratio / targetRatio) ** (1.0 / 6.0) if targetRatio > 0 else math.inf
+    root = r * (ratio / targetRatio) ** (1.0 / 6.0)
     if root < 2.0 * config.radius * _CONTACT_MARGIN:
         min_sep = 2.0 * config.radius
     else:

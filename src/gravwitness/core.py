@@ -266,26 +266,35 @@ def _or_nan(fn, *args) -> float:
 
 
 def _divide(a, b):
+    """a / b, and where b is 0 its limit: inf for a > 0 and 0 at a = 0; a nan
+    ``a`` (an overflowed numerator) stays nan."""
     try:
         return a / b
     except ZeroDivisionError:
-        return math.inf if a > 0.0 else 0.0
+        return math.inf if a > 0.0 else a * 0.0
 
 
 def _divide_arrays(a, b):
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(b == 0.0, np.where(a > 0.0, np.inf, 0.0),
+        return np.where(b == 0.0, np.where(a > 0.0, np.inf, a * 0.0),
                         np.divide(a, b))
+
+
+def _pow_or_nan(x, y):
+    try:
+        return pow(x, y)
+    except OverflowError:
+        return math.nan
 
 
 @dataclass(frozen=True)
 class Ops:
     """The operations whose number and array forms differ.  A formula
     written with them is numpy-generic: with `ARRAY_OPS` it gives on each
-    array element bit for bit what it gives on that number with `FLOAT_OPS`.
-    ``divide(a, b)`` is a / b for a >= 0, with its limit where b is 0 (inf,
-    or 0 at a = 0).  With ``checked`` (numbers), inputs are range-checked and
-    a regime guard that fires raises RegimeError; on arrays of validated
+    array element bit for bit what it gives on that number with `NAN_OPS`,
+    and with `FLOAT_OPS` where that does not raise.  ``divide`` is
+    `_divide`.  With ``checked`` (numbers), inputs are range-checked and a
+    regime guard that fires raises RegimeError; on arrays of validated
     configurations a guard gives where it fires."""
 
     pow: Callable
@@ -297,6 +306,10 @@ class Ops:
 
 FLOAT_OPS = Ops(pow=pow, exp=math.exp, sqrt=math.sqrt, divide=_divide,
                 checked=True)
+# numbers with the arithmetic of ARRAY_OPS: a pow that overflows is nan.
+# exp stays libm's: its one argument, -Gamma T of the budget, is <= 0 or nan
+NAN_OPS = Ops(pow=_pow_or_nan, exp=math.exp, sqrt=math.sqrt, divide=_divide,
+              checked=True)
 # numpy's array pow and exp round differently from libm in the last bit on
 # a few percent of inputs, so arrays go through libm element by element;
 # np.sqrt is correctly rounded, as libm's sqrt is

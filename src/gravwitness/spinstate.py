@@ -97,13 +97,9 @@ class WitnessResult:
 
 def entangled_state(dPhiLR: float, dPhiRL: float) -> TwoQubitState:
     """Pure state with amplitudes (1, e^{i dPhiLR}, e^{i dPhiRL}, 1)/2."""
-    _check_phases(dPhiLR, dPhiRL)
-    return TwoQubitState(_pure_rho(dPhiLR, dPhiRL))
-
-
-def _check_phases(dPhiLR: float, dPhiRL: float) -> None:
     if not (math.isfinite(dPhiLR) and math.isfinite(dPhiRL)):
         raise ValueError("phases must be finite")
+    return TwoQubitState(_pure_rho(dPhiLR, dPhiRL))
 
 
 def _pure_rho(dPhiLR, dPhiRL) -> np.ndarray:
@@ -188,14 +184,10 @@ def apply_dephasing(state: TwoQubitState, p1: float, p2: float) -> TwoQubitState
     {sqrt(1-p_j) I, sqrt(p_j) sigma_z}.  Applied elementwise: entries of rho
     whose qubit-j index differs between row and column scale by (1 - 2 p_j),
     populations are untouched, and negativity never increases."""
-    _check_probabilities(p1, p2)
-    return TwoQubitState(state.rho * _dephasing_factors(p1, p2))
-
-
-def _check_probabilities(p1: float, p2: float) -> None:
     for name, p in (("p1", p1), ("p2", p2)):
         if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+    return TwoQubitState(state.rho * _dephasing_factors(p1, p2))
 
 
 def _dephasing_factors(p1, p2) -> np.ndarray:

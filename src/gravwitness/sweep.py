@@ -2,19 +2,17 @@
 
 Grid sweeps validate each point on its own, then compute the phases,
 feasibility, decoherence budget and objective of the valid points as
-arrays, by the numpy-generic cores the scalar functions call; a grid where
-the scalar pipeline raises or may raise goes to it whole.  The witness
+arrays, by the numpy-generic cores the scalar functions call.  The witness
 objectives read the closed-form dephased <XZ>, <YZ>; the negativity
 objective builds and checks both spin states.  `run_sweep` builds a row at
-every point, in row-major axis order.  `maximize` scans the same arrays
-for the best feasible point, builds that one row, and refines it by a
-deterministic coordinate descent with golden-section line searches.
+every grid point, in row-major axis order.  `maximize` scans the same
+arrays for the best feasible point, builds that one row, and refines it by
+a deterministic coordinate descent with golden-section line searches.
 
-There is one scalar pipeline, `_scalar_point`.  `evaluate` runs it for the
-CLI `witness`, and the scalar rows, which every grid row equals bit for
-bit, and the line-search scores read it.  `_row` builds every valid row,
-scalar or batched, from its numbers.  `validate` issues no warning, so
-nothing here filters any.
+There is one scalar pipeline, `_scalar_point`, with the batch's arithmetic.
+`evaluate` runs it for the CLI `witness`, and the scalar rows, which every
+grid row equals bit for bit, and the line-search scores read it.  `_row`
+builds every valid row from its numbers.  `validate` issues no warning.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from . import constraints, decoherence, spinstate
 from .constraints import ConstraintReport, feasibility_report
-from .core import (ARRAY_OPS, FLOAT_OPS, ConfigError, ExperimentConfig,
+from .core import (ARRAY_OPS, NAN_OPS, ConfigError, ExperimentConfig,
                    FIELD_NAMES, RegimeError, validate)
 from .decoherence import DecoherenceRates
 from .gravphase import PhaseSet, static_phases
@@ -160,7 +158,7 @@ class Evaluation:
 
     ``budget`` is None when the decoherence budget is out of its regime;
     ``regimeError`` then holds the guard's message and ``dephased`` is None.
-    The spin states are built and checked on first access.
+    The spin states are built and checked (finite phases and p) on access.
     """
 
     phases: PhaseSet
@@ -184,7 +182,8 @@ def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
              tauCollOver: float = 1.0) -> Evaluation:
     """Phases, feasibility and decoherence budget of a validated
     configuration, with its noiseless and dephased spin states: the
-    `_scalar_point` a sweep row reads, and the full `feasibility_report`."""
+    `_scalar_point` a row reads, and `feasibility_report`, which raises
+    where a power overflows."""
     phases, *_, budget, regime_error = _scalar_point(config)
     report = feasibility_report(config, targetRatio=cpRatioMax,
                                 tauCollFactor=tauCollOver)
@@ -204,34 +203,39 @@ def _config(fields: dict, overrides: dict) -> ExperimentConfig:
 
 
 def _scalar_point(cfg: ExperimentConfig) -> tuple:
-    """The scalar pipeline of a validated configuration: the PhaseSet,
-    cpRatio, magRatio, the collisional tauColl (nan where its guard fires)
-    and message, the duration, the DecoherenceRates (None where a guard
-    fires) and the first guard's message; a message is "" if none.  Raises,
-    in pipeline order, on non-finite phases or a flip p outside [0, 1]."""
+    """The scalar pipeline of a validated configuration, by `NAN_OPS`: the
+    PhaseSet, cpRatio, magRatio, the collisional tauColl (nan where its
+    guard fires) and message, the duration, the DecoherenceRates (None
+    where a guard fires) and the first guard's message; a message is "" if
+    none.  A number computed from a power that overflows is nan."""
     phases = static_phases(cfg)
     _, _, cp_ratio, mag_ratio = constraints._closest_approach(cfg, 0.0,
-                                                              FLOAT_OPS)
+                                                              NAN_OPS)
     try:
-        tau_coll, coll_error = decoherence._collisions(cfg, FLOAT_OPS)[1], ""
-    except RegimeError as err:
-        tau_coll, coll_error = math.nan, str(err)
-    spinstate._check_phases(phases.dPhiLR, phases.dPhiRL)
-    try:
-        budget, regime_error = decoherence._budget(cfg, FLOAT_OPS)[3], ""
+        _, tau_coll, _, budget = decoherence._budget(cfg, NAN_OPS)
+        coll_error = regime_error = ""
     except RegimeError as err:
         budget, regime_error = None, str(err)
-    else:
-        p = _flip_probability(budget)
-        spinstate._check_probabilities(p, p)
+        try:
+            tau_coll, coll_error = decoherence._collisions(cfg, NAN_OPS)[1], ""
+        except RegimeError:     # the budget's first guard
+            tau_coll, coll_error = math.nan, regime_error
     return (phases, cp_ratio, mag_ratio, tau_coll, coll_error,
             decoherence.experiment_duration(cfg), budget, regime_error)
 
 
-def _scalar_objective(objective: str, phases: PhaseSet,
-                      budget: DecoherenceRates) -> float:
-    """The objective of `evaluate`'s dephased state."""
-    lr, rl, p = phases.dPhiLR, phases.dPhiRL, _flip_probability(budget)
+def _exists(dPhiLR, dPhiRL, cpRatio, magRatio, p):
+    """Where a row's numbers exist: finite phases, cpRatio and magRatio not
+    nan, and the flip probability p in [0, 1].  Comparisons only, so
+    numbers give a bool and arrays a mask."""
+    return ((dPhiLR - dPhiLR == 0.0) & (dPhiRL - dPhiRL == 0.0)
+            & (cpRatio == cpRatio) & (magRatio == magRatio)
+            & (p >= 0.0) & (p <= 1.0))
+
+
+def _scalar_objective(objective: str, phases: PhaseSet, p: float) -> float:
+    """The objective of `evaluate`'s dephased state, flip probability p."""
+    lr, rl = phases.dPhiLR, phases.dPhiRL
     cxz, cyz = spinstate.dephased_correlators(lr, rl, p)
     return _objective_value(objective, float(cxz), float(cyz), lambda: (
         spinstate.apply_dephasing(spinstate.entangled_state(lr, rl), p, p)))
@@ -241,9 +245,8 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
                     overrides: dict[str, float], scoring: bool = False):
     """The row of the grid point ``overrides`` on ``base``, from its
     `_scalar_point`.  With ``scoring``, `_line_search`'s score instead,
-    without a row: the objective where the row is feasible and the
-    objective finite, else -inf; and the point's `_scalar_point`, None
-    where it is invalid."""
+    without a row: the objective where the row is feasible, else -inf; and
+    the point's `_scalar_point`, None where it is invalid."""
     try:
         cfg = validate(_config(vars(base), overrides))
     except ConfigError as err:
@@ -252,18 +255,20 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
     point = _scalar_point(cfg)
     phases, cp_ratio, mag_ratio, tau_coll, coll_error, duration, budget, \
         regime_error = point
-    if scoring and (regime_error or any(constraints._failing(
+    p = 0.0 if budget is None else _flip_probability(budget)
+    known = budget is not None and _exists(phases.dPhiLR, phases.dPhiRL,
+                                           cp_ratio, mag_ratio, p)
+    if scoring and (not known or any(constraints._failing(
             cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
             spec.requireTauCollOver, duration))):
         return -math.inf, point
-    value = (math.nan if budget is None
-             else _scalar_objective(spec.objective, phases, budget))
+    value = _scalar_objective(spec.objective, phases, p) if known else math.nan
     if scoring:
-        return (value if math.isfinite(value) else -math.inf), point
+        return value, point
     return _row(spec, dict(overrides), phases.dPhiLR, phases.dPhiRL,
                 cp_ratio, mag_ratio, tau_coll, duration, coll_error,
                 regime_error, math.nan if budget is None else budget.tauColl,
-                value)
+                p, value)
 
 
 def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
@@ -274,10 +279,11 @@ def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
 def _row(spec: SweepSpec, params: dict[str, float], dPhiLR: float,
          dPhiRL: float, cpRatio: float, magRatio: float, tauColl: float,
          duration: float, collError: str, regimeError: str,
-         budgetTauColl: float, objective: float) -> SweepRow:
+         budgetTauColl: float, p: float, objective: float) -> SweepRow:
     """The row of a valid configuration, scalar or batched: the
     `constraints._reasons` of its numbers, then the budget guard's message
-    ``regimeError`` unless a reason already, with a nan tauColl."""
+    ``regimeError`` unless a reason already, with a nan tauColl, then each
+    number that does not exist (``p`` is 0 out of regime)."""
     reasons = constraints._reasons(cpRatio, magRatio, spec.cpRatioMax,
                                    tauColl, spec.requireTauCollOver,
                                    duration, collError)
@@ -286,18 +292,21 @@ def _row(spec: SweepSpec, params: dict[str, float], dPhiLR: float,
         msg = f"decoherence regime: {regimeError}"
         if msg not in reasons:
             reasons.append(msg)
+    if not _exists(dPhiLR, dPhiRL, cpRatio, magRatio, p):
+        numbers = dict(dPhiLR=dPhiLR, dPhiRL=dPhiRL, cpRatio=cpRatio,
+                       magRatio=magRatio, p=p)
+        reasons.append("arithmetic: " + ", ".join(
+            f"{k} {v:.3g}" for k, v in numbers.items()
+            if not _exists(**{**dict.fromkeys(numbers, 0.0), k: v})))
     # positional, in field order: keywords cost more than the rest of a row
     return SweepRow(params, dPhiLR, dPhiRL, objective, cpRatio, budgetTauColl,
                     not reasons, "; ".join(reasons))
 
 
 def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
-    """`evaluate`'s numbers over a batch of validated configurations, from
-    the numpy-generic cores.  ``scalar_only`` marks where `evaluate` raises
-    or may raise: non-finite phases, a flip probability outside [0, 1], or
-    a nan where a scalar `pow` or `exp` overflows (an inf rate saturates
-    the budget, as in `evaluate`).  ``regime`` marks the points out of the
-    budget's regime; their p is 0."""
+    """`_scalar_point`'s numbers over a batch of validated configurations,
+    from the numpy-generic cores, and the `_exists` mask.  ``regime`` marks
+    the points out of the budget's regime; their p is 0."""
     with np.errstate(all="ignore"):
         phases = static_phases(batch)
         _, _, cp_ratio, mag_ratio = constraints._closest_approach(
@@ -306,29 +315,22 @@ def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
             batch, ARRAY_OPS)
         duration = decoherence.experiment_duration(batch)
         p = np.where(regime, 0.0, _flip_probability(budget))
-        rates_known = ~(np.isnan(budget.gammaColl) | np.isnan(budget.gammaSc)
-                        | np.isnan(budget.gammaEm) | np.isnan(budget.gammaAbs))
-        scalar_only = ~(np.isfinite(phases.dPhiLR) & np.isfinite(phases.dPhiRL)
-                        & (p >= 0.0) & (p <= 1.0)
-                        & np.isfinite(cp_ratio) & np.isfinite(mag_ratio)
-                        & (coll_fired | rates_known))
+        exists = _exists(phases.dPhiLR, phases.dPhiRL, cp_ratio, mag_ratio, p)
     return SimpleNamespace(
         dPhiLR=phases.dPhiLR, dPhiRL=phases.dPhiRL, cpRatio=cp_ratio,
         magRatio=mag_ratio, collisionsFired=coll_fired, tauColl=tau_coll,
         duration=duration, regime=regime,
-        budgetTauColl=budget.tauColl, p=p, scalar_only=scalar_only)
+        budgetTauColl=budget.tauColl, p=p, exists=exists)
 
 
 def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
-    """The stage `run_sweep` and `maximize` share: `_evaluate_point` at
-    every grid point, or at none.  ``grid`` holds each point's overrides
-    in row-major order.  Where `_stacked` flags a point ``scalar_only`` or
-    raises, ``rows`` holds `_evaluate_point`'s rows in row order.  Else
-    ``rows`` is None, ``invalid`` holds the (grid index, ConfigError
-    message) of the points `validate` rejects, ``valid`` the (grid index,
-    validated configuration) of the others, and ``batch`` their fields,
-    then come `_stacked`'s columns, the dephased ``cxz`` and ``cyz``, and
-    ``feasible``: the points in regime that pass `constraints._failing`."""
+    """The stage `run_sweep` and `maximize` share.  ``grid`` holds each
+    point's overrides in row-major order, ``invalid`` the (grid index,
+    ConfigError message) of the points `validate` rejects, ``valid`` the
+    (grid index, validated configuration) of the others, and ``batch``
+    their fields; then come `_stacked`'s columns, the dephased ``cxz`` and
+    ``cyz``, and ``feasible``: the points in regime whose numbers exist
+    and pass `constraints._failing`."""
     names = [axis.name for axis in spec.axes]
     values = [axis.values() for axis in spec.axes]
     fields = vars(base)
@@ -342,38 +344,33 @@ def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
             invalid.append((i, str(err)))
 
     index = np.array([i for i, _ in valid], dtype=np.intp)
-    batch = SimpleNamespace(**{**fields, **{
+    # an invalid base may divide by zero: no valid point, empty columns
+    shared = fields if valid else dict.fromkeys(fields, np.empty(0))
+    batch = SimpleNamespace(**{**shared, **{
         name: column.ravel()[index] for name, column in
         zip(names, np.meshgrid(*values, indexing="ij"))}})
     if base.dx is None and "dx" not in names:
         batch.dx = np.array([cfg.dx for _, cfg in valid], dtype=float)
-    try:
-        st = vars(_stacked(batch))
-        scalar = st.pop("scalar_only").any()
-    except ArithmeticError:     # a shared float divides by zero
-        scalar = True
-    if scalar:
-        return SimpleNamespace(grid=grid, rows=[
-            _evaluate_point(base, spec, overrides) for overrides in grid])
-    points = SimpleNamespace(grid=grid, rows=None, invalid=invalid,
-                             valid=valid, batch=batch, **{
-        name: np.broadcast_to(x, (len(valid),)) for name, x in st.items()})
+    points = SimpleNamespace(grid=grid, invalid=invalid, valid=valid,
+                             batch=batch, **{
+        name: np.broadcast_to(x, (len(valid),))
+        for name, x in vars(_stacked(batch)).items()})
     with np.errstate(all="ignore"):
         points.cxz, points.cyz = spinstate.dephased_correlators(
             points.dPhiLR, points.dPhiRL, points.p)
         cp, mag, coll = constraints._failing(
             points.cpRatio, points.magRatio, spec.cpRatioMax, points.tauColl,
             spec.requireTauCollOver, points.duration)
-    points.feasible = ~(points.regime | cp | mag | coll)
+    points.feasible = points.exists & ~(points.regime | cp | mag | coll)
     return points
 
 
 def _objectives(spec: SweepSpec, points: SimpleNamespace,
                 index) -> list[float]:
-    """The objective at the `_grid_points` entries ``index``, none of them
-    out of regime, each equal to `_evaluate_point`'s.  The negativity
-    objective builds both density matrices as stacks and checks each as
-    `entangled_state` and `apply_dephasing` would."""
+    """The objective at the `_grid_points` entries ``index``, in regime
+    with numbers that exist, each equal to `_evaluate_point`'s.  The
+    negativity objective builds both density matrices as stacks and checks
+    each as `entangled_state` and `apply_dephasing` would."""
     correlators = zip(points.cxz[index].tolist(), points.cyz[index].tolist())
     if spec.objective == "negativity":
         with np.errstate(all="ignore"):
@@ -414,17 +411,14 @@ def _regime_errors(points: SimpleNamespace, index: list[int]) -> list[str]:
 
 
 def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
-    """`_evaluate_point` at every grid point: the scalar pipeline's rows
-    where it takes the grid whole, else built from `_grid_points`'s
+    """`_evaluate_point` at every grid point, built from `_grid_points`'s
     columns."""
     points = _grid_points(spec, base)
-    if points.rows is not None:
-        return points.rows
     grid = points.grid
     rows: list[SweepRow | None] = [None] * len(grid)
     for i, error in points.invalid:
         rows[i] = _invalid_row(grid[i], error)
-    index = np.flatnonzero(~points.regime).tolist()
+    index = np.flatnonzero(points.exists & ~points.regime).tolist()
     objectives = dict(zip(index, _objectives(spec, points, index)))
     regime = np.flatnonzero(points.regime).tolist()
     errors = dict(zip(regime, _regime_errors(points, regime))) if regime else {}
@@ -432,9 +426,10 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     columns = zip(points.valid, *(x.tolist() for x in (
         points.dPhiLR, points.dPhiRL, points.cpRatio, points.magRatio,
         points.collisionsFired, points.tauColl, points.duration,
-        points.budgetTauColl, points.feasible)))
+        points.budgetTauColl, points.p, points.feasible)))
     for j, ((i, _), dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired,
-            tau_coll, duration, budget_tau_coll, feasible) in enumerate(columns):
+            tau_coll, duration, budget_tau_coll, p, feasible) in enumerate(
+                columns):
         obj = objectives.get(j, math.nan)
         if feasible:
             rows[i] = SweepRow(grid[i], dphi_lr, dphi_rl, obj, cp_ratio,
@@ -444,29 +439,20 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
             rows[i] = _row(spec, grid[i], dphi_lr, dphi_rl, cp_ratio,
                            mag_ratio, tau_coll, duration,
                            regime_error if coll_fired else "", regime_error,
-                           budget_tau_coll, obj)
+                           budget_tau_coll, p, obj)
     return rows
 
 
 def _start_row(spec: SweepSpec, base: ExperimentConfig) -> SweepRow:
-    """The first `run_sweep` row with the largest finite objective among
-    the feasible rows; ValueError when no row qualifies.  Where the scalar
-    pipeline takes the grid whole, one of its rows; else the only row
-    built, at the first maximum of the feasible points' objectives."""
+    """The first `run_sweep` row with the largest objective among the
+    feasible rows (all finite), and the only row built; ValueError when
+    there is none."""
     points = _grid_points(spec, base)
-    if points.rows is not None:
-        rows = [row for row in points.rows
-                if row.feasible and math.isfinite(row.objective)]
-        if not rows:
-            raise ValueError("no feasible grid point to start from")
-        return max(rows, key=lambda row: row.objective)
     feasible = np.flatnonzero(points.feasible)
-    values = _objectives(spec, points, feasible)
-    objective = np.array(values, dtype=float)
-    finite = np.isfinite(objective)
-    if not finite.any():
+    if not feasible.size:
         raise ValueError("no feasible grid point to start from")
-    k = int(np.argmax(np.where(finite, objective, -np.inf)))
+    values = _objectives(spec, points, feasible)
+    k = int(np.argmax(values))
     best = feasible[k]
     return SweepRow(points.grid[points.valid[best][0]],
                     points.dPhiLR[best].item(), points.dPhiRL[best].item(),
@@ -476,7 +462,8 @@ def _start_row(spec: SweepSpec, base: ExperimentConfig) -> SweepRow:
 
 def run_sweep(spec: SweepSpec, base_config: ExperimentConfig) -> SweepResult:
     """Every grid point's row, in row-major order of the axes as given;
-    invalid points are infeasible rows.  Each equals `_evaluate_point`'s."""
+    invalid points and those whose numbers do not exist are infeasible
+    rows.  Each equals `_evaluate_point`'s."""
     return SweepResult(spec=spec, rows=tuple(_grid_rows(spec, base_config)))
 
 
@@ -520,8 +507,8 @@ def maximize(spec: SweepSpec,
     `_start_row`; each line-search probe is validated once and scored
     without a row.  Returns the row that set the incumbent, whose objective
     is >= every feasible grid row, and its validated configuration.  Raises
-    what `run_sweep` raises, and ValueError when no grid point is feasible.
-    Deterministic for a fixed spec."""
+    ValueError when no grid point is feasible.  Deterministic for a fixed
+    spec."""
     # a line search through the row it last returned would return it again
     searched = {}       # axis name -> the row its last line search returned
     best = _start_row(spec, base_config)

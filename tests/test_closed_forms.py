@@ -105,6 +105,7 @@ def test_min_separation_edges(paper_config):
     for target in (1e-30, 0.0, -1.0, math.nan):   # root beyond 1 m, or none
         with pytest.raises(ValueError):
             min_separation(paper_config, target)
-        assert feasibility_report(paper_config, target).minSeparation == math.inf
+    # feasibility_report rejects the targets with no root (test_constraints)
+    assert feasibility_report(paper_config, 1e-30).minSeparation == math.inf
     heavy = dataclasses.replace(paper_config, m1=1e3, m2=1e3)
     assert feasibility_report(heavy).minSeparation == contact

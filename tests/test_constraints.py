@@ -5,6 +5,7 @@ import pytest
 from gravwitness.constraints import (casimir_polder_potential, cp_ratio,
                                      feasibility_report, gravitational_potential,
                                      magnetic_interaction_ratio, min_separation)
+from gravwitness.sweep import evaluate
 
 # frozen by 50-digit evaluation of the closed forms with the package constants
 VCP_200UM = 1.6842987704487485e-36
@@ -156,3 +157,37 @@ def test_feasibility_report_handles_unbracketable_target(paper_config):
     assert not report.feasible
     assert report.minSeparation == float("inf")
     assert any("cpRatio" in r for r in report.reasons)
+
+
+@pytest.mark.parametrize("target", [float("nan"), 0.0, -1.0])
+def test_feasibility_report_rejects_a_target_it_cannot_compare_with(
+        paper_config, target):
+    # every cpRatio > nan is False, and a negative target fails every point
+    with pytest.raises(ValueError, match="targetRatio must be positive"):
+        feasibility_report(paper_config, targetRatio=target)
+    with pytest.raises(ValueError, match="targetRatio must be positive"):
+        min_separation(paper_config, target)
+    with pytest.raises(ValueError, match="targetRatio must be positive"):
+        evaluate(paper_config, cpRatioMax=target)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), 0.5])
+def test_feasibility_report_rejects_a_tau_coll_factor_below_one(paper_config,
+                                                               factor):
+    with pytest.raises(ValueError, match="tauCollFactor must be >= 1"):
+        feasibility_report(paper_config, tauCollFactor=factor)
+    with pytest.raises(ValueError, match="tauCollFactor must be >= 1"):
+        evaluate(paper_config, tauCollOver=factor)
+
+
+def test_a_ratio_over_an_underflowing_potential_is_inf(paper_config):
+    # G m1 m2 underflows to 0: the Casimir-Polder ratio is inf, not a
+    # division by zero, and the point is infeasible
+    light = dataclasses.replace(paper_config, m1=1e-150, m2=1e-170)
+    assert gravitational_potential(light, light.d - light.dx) == 0.0
+    assert cp_ratio(light) == float("inf")
+    assert magnetic_interaction_ratio(light, 0.0) == 0.0
+    assert magnetic_interaction_ratio(light, 1.0) == float("inf")
+    report = feasibility_report(light)
+    assert (report.cpRatio, report.magRatio) == (float("inf"), 0.0)
+    assert not report.feasible and report.reasons[0] == "cpRatio inf > 0.1"

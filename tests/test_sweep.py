@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from gravwitness import constraints, decoherence, sweep
 from gravwitness.constraints import feasibility_report
-from gravwitness.core import (ARRAY_OPS, FLOAT_OPS, ConfigConsistencyWarning,
-                              ConfigError, ExperimentConfig, RegimeError,
-                              load_config, paper_defaults, validate)
+from gravwitness.core import (ARRAY_OPS, FLOAT_OPS, NAN_OPS,
+                              ConfigConsistencyWarning, ConfigError,
+                              ExperimentConfig, RegimeError, load_config,
+                              paper_defaults, validate)
 from gravwitness.decoherence import collisional_time, dephasing_budget
 from gravwitness.gravphase import static_phases
 from gravwitness.spinstate import TwoQubitState, negativity
@@ -531,18 +533,40 @@ def test_sweep_equals_the_scalar_sweep_where_a_shared_number_fails(
 ])
 def test_sweep_raises_what_the_scalar_path_raises(paper_config, axis, fields,
                                                   error):
-    # the witness objectives build no state, and still raise on its inputs
+    # evaluate and its spin states, the scalar path of the CLI witness,
+    # raise at the points whose numbers do not exist, ``error`` first; the
+    # sweep raises nothing and gives each of them an arithmetic row, as the
+    # sweep's scalar pipeline does
     base = dataclasses.replace(paper_config, **fields)
+    errors = []
+    for value in axis.values().tolist():
+        try:
+            cfg = validate(dataclasses.replace(base, **{axis.name: value}))
+        except ConfigError:
+            errors.append(None)
+            continue
+        ev, err = _outcome(evaluate, cfg)
+        if err is None:
+            _, err = _outcome(lambda: (ev.state, ev.dephased))
+        errors.append(err)
+    first = next(err for err in errors if err is not None)
+    assert isinstance(first, (ValueError, OverflowError))
+    assert re.search(error, str(first))
     for objective in OBJECTIVES:
         spec = SweepSpec(axes=(axis,), objective=objective)
-        with pytest.raises((ValueError, OverflowError), match=error) as scalar:
-            _scalar_rows(spec, base)
-        with pytest.raises(scalar.type, match=error):
-            run_sweep(spec, base)
-        # maximize's start grid hands the same points to the scalar pipeline
-        with pytest.raises(scalar.type) as got:
-            maximize(spec, base)
-        assert str(got.value) == str(scalar.value)
+        rows = run_sweep(spec, base).rows
+        assert [repr(r) for r in rows] == \
+            [repr(r) for r in _scalar_rows(spec, base)]
+        assert ["arithmetic: " in r.reason for r in rows] == \
+            [err is not None for err in errors]
+        assert all(math.isnan(r.objective) and not r.feasible
+                   for r in rows if "arithmetic: " in r.reason)
+        best, err = _outcome(maximize, spec, base)
+        if err is None:
+            assert best[1].feasible
+        else:
+            assert repr(err) == repr(
+                ValueError("no feasible grid point to start from"))
 
 
 def _best_row(spec, base):
@@ -699,34 +723,61 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
     fired, tau, regime, duration = map(column, (fired, tau, regime, duration))
     rates = {f.name: column(getattr(rates, f.name))
              for f in dataclasses.fields(rates)}
-    scalar_only = column(sweep._stacked(arrays).scalar_only)
+    stacked = sweep._stacked(arrays)
+    exists = column(stacked.exists)
+    phases = [column(x) for x in (stacked.dPhiLR, stacked.dPhiRL)]
 
     for j, cfg in enumerate(points):
+        # the scalar cores with NAN_OPS, at every point
+        assert [repr(x[j]) for x in report] == \
+            [repr(v) for v in constraints._closest_approach(cfg, 0.0, NAN_OPS)]
+        coll, coll_err = _outcome(decoherence._collisions, cfg, NAN_OPS)
+        budget, budget_err = _outcome(decoherence._budget, cfg, NAN_OPS)
+        assert all(err is None or isinstance(err, RegimeError)
+                   for err in (coll_err, budget_err))
+        assert fired[j] == (coll_err is not None)
+        assert regime[j] == (budget_err is not None)
+        if coll_err is None:
+            assert repr(tau[j]) == repr(coll[1])
+        if budget_err is None:
+            assert {k: repr(v[j]) for k, v in rates.items()} == \
+                {k: repr(getattr(budget[3], k)) for k in rates}
+        want_phases = static_phases(cfg)
+        assert repr([x[j] for x in phases]) == \
+            repr([want_phases.dPhiLR, want_phases.dPhiRL])
+        p = 0.0 if budget_err is not None else budget[3].totalDephasing / 2.0
+        assert exists[j] == sweep._exists(want_phases.dPhiLR,
+                                          want_phases.dPhiRL, report[2][j],
+                                          report[3][j], p)
+
+        # the public functions, with FLOAT_OPS, wherever they return
         want_report, report_err = _outcome(feasibility_report, cfg, target,
                                            0.0, factor)
         want_tau, tau_err = _outcome(collisional_time, cfg)
         want_rates, rates_err = _outcome(dephasing_budget, cfg)
-        if any(err is not None and not isinstance(err, RegimeError)
-               for err in (report_err, tau_err, rates_err)):
-            # the grid hands the point to the scalar pipeline
-            assert scalar_only[j]
-            continue
-        got = dict(zip(("vCP", "vGrav", "cpRatio", "magRatio"),
-                       (x[j] for x in report)))
-        assert [repr(v) for v in got.values()] == \
-            [repr(getattr(want_report, k)) for k in got]
-        assert fired[j] == isinstance(tau_err, RegimeError)
+        assert all(err is None or isinstance(err, (RegimeError, OverflowError))
+                   for err in (report_err, tau_err, rates_err))
+        if report_err is not None:
+            # a power overflows in cpRatio or magRatio
+            assert not exists[j]
+        else:
+            got = dict(zip(("vCP", "vGrav", "cpRatio", "magRatio"),
+                           (x[j] for x in report)))
+            assert [repr(v) for v in got.values()] == \
+                [repr(getattr(want_report, k)) for k in got]
+            assert want_report.reasons == tuple(constraints._reasons(
+                got["cpRatio"], got["magRatio"], target, tau[j], factor,
+                duration[j], str(coll_err) if fired[j] else ""))
+            # the decision on arrays: a failing check, or the collisional
+            # guard
+            assert want_report.feasible == \
+                (not (fired[j] or any(mask[j] for mask in failing)))
+        if tau_err is None or isinstance(tau_err, RegimeError):
+            assert fired[j] == isinstance(tau_err, RegimeError)
         if tau_err is None:
             assert repr(tau[j]) == repr(want_tau)
-        assert want_report.reasons == tuple(constraints._reasons(
-            got["cpRatio"], got["magRatio"], target, tau[j], factor,
-            duration[j], str(tau_err) if fired[j] else ""))
-        # the decision on arrays: a failing check, or the collisional guard
-        assert want_report.feasible == \
-            (not (fired[j] or any(mask[j] for mask in failing)))
-        if scalar_only[j]:
-            continue
-        assert regime[j] == isinstance(rates_err, RegimeError)
+        if rates_err is None or isinstance(rates_err, RegimeError):
+            assert regime[j] == isinstance(rates_err, RegimeError)
         if rates_err is None:
             assert {k: repr(v[j]) for k, v in rates.items()} == \
                 {k: repr(getattr(want_rates, k)) for k in rates}
@@ -782,38 +833,114 @@ _SATURATING_AXES = (SweepAxis("pressure", 1e-15, 1e300, 6, "log"),
                     SweepAxis("tau", 0.5, 8.0, 3))
 
 
+def _check_batched(scalar_points, spec, base):
+    """`run_sweep` and `_start_row` call no scalar pipeline, and the rows
+    are the scalar rows."""
+    rows = run_sweep(spec, base).rows
+    _outcome(sweep._start_row, spec, base)
+    assert scalar_points == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigConsistencyWarning)
+        expected = _scalar_rows(spec, base)
+    assert [repr(r) for r in rows] == [repr(r) for r in expected]
+    scalar_points.clear()
+    return rows
+
+
 @pytest.mark.parametrize("axes", [_DENSE_AXES, _SATURATING_AXES])
 def test_batched_grids_call_no_scalar_pipeline(paper_config, scalar_points,
                                                axes):
     for objective in OBJECTIVES:
-        spec = SweepSpec(axes=axes, objective=objective)
-        rows = run_sweep(spec, paper_config).rows
-        _outcome(sweep._start_row, spec, paper_config)
-        assert scalar_points == []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConfigConsistencyWarning)
-            expected = _scalar_rows(spec, paper_config)
-        assert [repr(r) for r in rows] == [repr(r) for r in expected]
-        scalar_points.clear()
+        rows = _check_batched(scalar_points,
+                              SweepSpec(axes=axes, objective=objective),
+                              paper_config)
     if axes is _SATURATING_AXES:
         assert any(r.tauColl == 0.0 for r in rows)
 
 
-def test_a_grid_the_batch_cannot_take_goes_whole_to_the_scalar_pipeline(
-        paper_config, scalar_points):
-    # kT**9 overflows at a tEnv every point shares: every row is the
-    # scalar pipeline's, invalid ones included
-    base = dataclasses.replace(paper_config, tEnv=1e32)
-    spec = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 3),
-                           SweepAxis("dx", 1e-4, 5.5e-4, 4)))
-    rows = run_sweep(spec, base).rows
-    valid = sum(not r.reason.startswith("invalid config") for r in rows)
-    assert 0 < valid < len(rows)
-    assert len(scalar_points) == valid
-    scalar_points.clear()
-    with pytest.raises(ValueError, match="feasible"):
-        sweep._start_row(spec, base)
-    assert len(scalar_points) == valid
+# the grid of a separation and a radius out to 1e46 m: invalid, feasible,
+# infeasible and arithmetic rows
+_OVERFLOWING_AXES = (SweepAxis("d", 3e-4, 1e46, 4, "log"),
+                     SweepAxis("radius", 1e-6, 1e45, 3, "log"))
+
+
+@pytest.mark.parametrize("fields, axes, reason", [
+    # kT**9 overflows at a tEnv every point shares: regime and invalid rows
+    pytest.param(dict(tEnv=1e32), (SweepAxis("tau", 0.5, 8.0, 3),
+                                   SweepAxis("dx", 1e-4, 5.5e-4, 4)),
+                 "invalid config: dx < d", id="tEnv-dx"),
+    *[pytest.param(fields, (SweepAxis("tau", 0.5, 8.0, 4),), reason,
+                   id=f"shared{k}")
+      for k, (fields, reason) in enumerate(zip(_SHARED_FAILURES, [
+          "long-wavelength photon regime", "long-wavelength photon regime",
+          "tauColl 0 s", "cpRatio inf > 0.1", "arithmetic: cpRatio nan"]))],
+    pytest.param({}, _OVERFLOWING_AXES, "arithmetic: cpRatio nan",
+                 id="overflowing"),
+])
+def test_grids_with_failing_numbers_call_no_scalar_pipeline(
+        paper_config, scalar_points, fields, axes, reason):
+    base = dataclasses.replace(paper_config, **fields)
+    for objective in OBJECTIVES:
+        rows = _check_batched(scalar_points,
+                              SweepSpec(axes=axes, objective=objective), base)
+        assert any(reason in r.reason for r in rows)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# log-uniform fields out to where powers overflow and potentials underflow
+_EXTREME_FIELDS = {
+    **dict.fromkeys(("d", "dx", "radius"), _log_uniform(1e-300, 1e60)),
+    "pressure": _log_uniform(1e-300, 1e300),
+    **dict.fromkeys(("tEnv", "tInt"), _log_uniform(1e-300, 1e60)),
+    **dict.fromkeys(("m1", "m2"), _log_uniform(1e-200, 1e30)),
+    "tau": _log_uniform(1e-3, 1.7e308),
+}
+
+
+@st.composite
+def extreme_grids(draw):
+    """A spec of one or two log axes over extreme ranges, and base fields
+    drawn from the same ranges."""
+    names = draw(st.lists(st.sampled_from(sorted(_EXTREME_FIELDS)),
+                          min_size=1, max_size=2, unique=True))
+    axes = []
+    for name in names:
+        a, b = sorted(draw(_EXTREME_FIELDS[name]) for _ in range(2))
+        assume(a < b)
+        axes.append(SweepAxis(name, a, b, draw(st.integers(2, 3)), "log"))
+    fields = {name: draw(values) for name, values in _EXTREME_FIELDS.items()
+              if draw(st.booleans())}
+    return (SweepSpec(axes=tuple(axes),
+                      objective=draw(st.sampled_from(OBJECTIVES))), fields)
+
+
+@given(grid=extreme_grids())
+# r**3 and r**7 underflow to 0 at every point
+@example(grid=(SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 2),),
+                         objective="witness"),
+               dict(d=1e-200, dx=5e-201, radius=1e-202)))
+@example(grid=(SweepSpec(axes=_OVERFLOWING_AXES), {}))
+@settings(max_examples=40, deadline=None)
+def test_extreme_grids_are_rows_that_maximize_reads(paper_config, grid):
+    spec, fields = grid
+    base = dataclasses.replace(paper_config, **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no numpy warning escapes
+        expected = _scalar_rows(spec, base)
+        rows = run_sweep(spec, base).rows
+        best, err = _outcome(maximize, spec, base)
+    assert [repr(r) for r in rows] == [repr(r) for r in expected]
+    feasible = [r.objective for r in rows if r.feasible]
+    assert all(math.isfinite(x) for x in feasible)
+    if err is None:
+        assert best[1].feasible and best[1].objective >= max(feasible)
+    else:
+        assert not feasible
+        assert repr(err) == repr(
+            ValueError("no feasible grid point to start from"))
 
 
 # ------------------------------------------------ spin states a sweep builds
@@ -933,8 +1060,10 @@ def test_line_search_score_is_the_rows(paper_config, probe, fields, kinematic):
 def test_scalar_rows_read_what_evaluate_gives(paper_config, probe, fields,
                                               kinematic):
     # evaluate, with its full feasibility report and budget, is the
-    # reference for the numbers a row and a line-search score read, and
-    # raises what the row raises
+    # reference for the numbers a row and a line-search score read.  It
+    # raises where feasibility_report does, and its spin states where the
+    # phases or the flip probability are not finite: the row is an
+    # arithmetic row exactly there
     spec, overrides = probe
     base = dataclasses.replace(
         _kinematic_unequal(paper_config) if kinematic else paper_config,
@@ -944,20 +1073,28 @@ def test_scalar_rows_read_what_evaluate_gives(paper_config, probe, fields,
     except ConfigError:
         return
     ev, err = _outcome(evaluate, cfg, spec.cpRatioMax, spec.requireTauCollOver)
-    row, row_err = _outcome(_evaluate_point, base, spec, overrides)
-    assert repr(row_err) == repr(err)
+    _, report_err = _outcome(feasibility_report, cfg, spec.cpRatioMax, 0.0,
+                             spec.requireTauCollOver)
+    row = _evaluate_point(base, spec, overrides)
+    assert repr(err) == repr(report_err)
+    arithmetic = [r for r in row.reason.split("; ")
+                  if r.startswith("arithmetic: ")]
     if err is not None:
+        assert arithmetic and not row.feasible
         return
+    _, state_err = _outcome(lambda: (ev.state, ev.dephased))
+    assert bool(arithmetic) == (state_err is not None)
     reasons = list(ev.report.reasons)
     if ev.regimeError and f"decoherence regime: {ev.regimeError}" not in reasons:
         reasons.append(f"decoherence regime: {ev.regimeError}")
-    assert row.reason == "; ".join(reasons)
-    assert row.feasible == (not reasons)
+    assert row.reason == "; ".join(reasons + arithmetic)
+    assert row.feasible == (not reasons + arithmetic)
     assert repr((row.dPhiLR, row.dPhiRL, row.cpRatio)) == \
         repr((ev.phases.dPhiLR, ev.phases.dPhiRL, ev.report.cpRatio))
     assert repr(row.tauColl) == repr(
         math.nan if ev.budget is None else ev.budget.tauColl)
-    if spec.objective == "negativity" and ev.dephased is not None:
+    if (spec.objective == "negativity" and state_err is None
+            and ev.dephased is not None):
         assert repr(row.objective) == repr(negativity(ev.dephased))
 
 
