@@ -10,10 +10,8 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -47,14 +45,6 @@ def _flat_items(obj, prefix=""):
     return out
 
 
-def _fmt_scalar(value, sig=12):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.{sig}g}"
-    return str(value)
-
-
 def _strict_json(payload) -> str:
     """Strict JSON (RFC 8259), which has no Infinity or NaN: a non-finite
     number is null, and the object holding it, the payload or a row of a
@@ -80,17 +70,14 @@ def render_payload(payload, fmt: str) -> str:
         return _strict_json(payload) + "\n"
     if isinstance(payload, list):
         header = list(payload[0].keys()) if payload else []
-        table = [[_fmt_scalar(r.get(k, "")) for k in header] for r in payload]
+        table = [[sweep_mod._text(r.get(k, "")) for k in header]
+                 for r in payload]
     else:
         flat = _flat_items(payload)
         header = ["key", "value"]
-        table = [[k, _fmt_scalar(v)] for k, v in flat]
+        table = [[k, sweep_mod._text(v)] for k, v in flat]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(table)
-        return buf.getvalue()
+        return sweep_mod._csv(header, table)
     widths = [max(len(str(h)), *(len(row[i]) for row in table)) if table
               else len(str(h)) for i, h in enumerate(header)]
     lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip()]
@@ -257,12 +244,6 @@ def _parse_axis(text: str) -> sweep_mod.SweepAxis:
         raise CliUsageError(f"--axis {text!r}: {err}") from None
 
 
-def _sweep_row(row: sweep_mod.SweepRow) -> dict:
-    return {**row.params, "dPhiLR": row.dPhiLR, "dPhiRL": row.dPhiRL,
-            "objective": row.objective, "cpRatio": row.cpRatio,
-            "tauColl": row.tauColl, "feasible": row.feasible}
-
-
 def _cmd_sweep(args, cfg):
     if not args.axis:
         raise CliUsageError("sweep needs at least one --axis")
@@ -278,10 +259,10 @@ def _cmd_sweep(args, cfg):
         return {
             "bestParams": best_row.params,
             "objective": best_row.objective,
-            "row": _sweep_row(best_row),
+            "row": sweep_mod._row_dict(best_row),
             "config": config_to_dict(best_config),
         }
-    return [{**_sweep_row(row), "reason": row.reason}
+    return [{**sweep_mod._row_dict(row), "reason": row.reason}
             for row in sweep_mod.run_sweep(spec, cfg).rows]
 
 

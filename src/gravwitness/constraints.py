@@ -167,7 +167,7 @@ def feasibility_report(config: ExperimentConfig, targetRatio: float = 0.1,
     else:
         min_sep = root if root <= 1.0 else math.inf
     try:
-        tau_coll, regime = decoherence._collisions(config, FLOAT_OPS)[1], ""
+        tau_coll, regime = decoherence._collisions(config, FLOAT_OPS)[2], ""
     except RegimeError as err:
         tau_coll, regime = math.nan, str(err)
     reasons = _reasons(ratio, mag, targetRatio, tau_coll, tauCollFactor,

@@ -258,9 +258,19 @@ def _elementwise(fn):
     return apply
 
 
-def _or_nan(fn, *args) -> float:
+def _or_nan(fn, x, *args) -> float:
+    """``fn`` of ``x`` as a float, nan where that overflows: an int's exact
+    power is converted here, so that it overflows here as a float's does."""
     try:
-        return fn(*args)
+        return float(fn(x, *args))
+    except OverflowError:
+        return math.nan
+
+
+def _pow_or_nan(x, y):
+    """`_or_nan` of pow, written out: the scalar pipeline calls it most."""
+    try:
+        return float(pow(x, y))
     except OverflowError:
         return math.nan
 
@@ -280,11 +290,8 @@ def _divide_arrays(a, b):
                         np.divide(a, b))
 
 
-def _pow_or_nan(x, y):
-    try:
-        return pow(x, y)
-    except OverflowError:
-        return math.nan
+def _choose(condition, a, b):
+    return a if condition else b
 
 
 @dataclass(frozen=True)
@@ -293,28 +300,32 @@ class Ops:
     written with them is numpy-generic: with `ARRAY_OPS` it gives on each
     array element bit for bit what it gives on that number with `NAN_OPS`,
     and with `FLOAT_OPS` where that does not raise.  ``divide`` is
-    `_divide`.  With ``checked`` (numbers), inputs are range-checked and a
-    regime guard that fires raises RegimeError; on arrays of validated
-    configurations a guard gives where it fires."""
+    `_divide`; ``where(condition, a, b)`` picks a where the condition holds.
+    With ``checked`` (`FLOAT_OPS`), inputs are range-checked and a regime
+    guard that fires raises RegimeError; unchecked, on validated
+    configurations, no check can fail and a guard gives where it fires."""
 
     pow: Callable
     exp: Callable
     sqrt: Callable
     divide: Callable
+    where: Callable
     checked: bool
 
 
 FLOAT_OPS = Ops(pow=pow, exp=math.exp, sqrt=math.sqrt, divide=_divide,
-                checked=True)
-# numbers with the arithmetic of ARRAY_OPS: a pow that overflows is nan.
-# exp stays libm's: its one argument, -Gamma T of the budget, is <= 0 or nan
+                where=_choose, checked=True)
+# numbers with the arithmetic of ARRAY_OPS: a power is a float, nan where it
+# overflows.  exp stays libm's: its one argument, -Gamma T of the budget, is
+# <= 0 or nan
 NAN_OPS = Ops(pow=_pow_or_nan, exp=math.exp, sqrt=math.sqrt, divide=_divide,
-              checked=True)
+              where=_choose, checked=False)
 # numpy's array pow and exp round differently from libm in the last bit on
 # a few percent of inputs, so arrays go through libm element by element;
 # np.sqrt is correctly rounded, as libm's sqrt is
 ARRAY_OPS = Ops(pow=_elementwise(pow), exp=_elementwise(math.exp),
-                sqrt=np.sqrt, divide=_divide_arrays, checked=False)
+                sqrt=np.sqrt, divide=_divide_arrays, where=np.where,
+                checked=False)
 
 
 # gravphase imports this module, so its name is bound last

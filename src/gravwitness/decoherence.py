@@ -3,8 +3,9 @@
 Collisional decoherence is evaluated in the saturated regime (superposition
 size far above the gas de Broglie wavelength, so every scattering event
 resolves the path): Gamma = n vbar sigma_geo.  Thermal-photon localization
-uses the standard long-wavelength rates Gamma = Lambda dx^2.  Regime guards
-raise instead of extrapolating.
+uses the standard long-wavelength rates Gamma = Lambda dx^2.  The public
+functions raise where a regime guard fires instead of extrapolating; the
+sweep reads the guard numbers of the cores they share.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ _C_PLANCK = 16.0 * math.pi**5 / 189.0
 # saturated regime requires dx >> lambda_deBroglie; long-wavelength photon
 # rates require dx << lambda_thermal
 _REGIME_MARGIN = 10.0
+# the regime guards in the order `_budget` meets them; 0 where none fires
+_COLLISIONAL, _PHOTON_ENV, _PHOTON_INT = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,19 @@ def _regime_message(dx: float, scale: float, temp: float | None = None) -> str:
             f"dx={dx:g} m vs {scale:g} m at {temp:g} K")
 
 
+def _first_guard_message(config: ExperimentConfig, guard, wavelengths) -> str:
+    """The RegimeError text of `_budget`'s first ``guard`` to fire at
+    ``config``, from the ``wavelengths`` it returns; "" where none fires."""
+    if not guard:
+        return ""
+    return _regime_message(config.dx, wavelengths[guard - 1],
+                           (None, config.tEnv, config.tInt)[guard - 1])
+
+
 def _collisions(config: ExperimentConfig, ops: Ops):
     """The core of `collisional_time`: where the saturated-regime guard
-    fires, and 1/(n vbar pi R^2)."""
+    fires, the gas de Broglie wavelength it compares dx with, and
+    1/(n vbar pi R^2)."""
     lam = gas_de_broglie_wavelength(config, ops)
     fired = config.dx < _REGIME_MARGIN * lam
     if ops.checked and fired:
@@ -87,14 +100,14 @@ def _collisions(config: ExperimentConfig, ops: Ops):
     n = gas_density(config.pressure, config.tEnv, ops)
     vbar = ops.sqrt(8.0 * CONSTANTS.kB * config.tEnv / (math.pi * config.mGas))
     gamma = n * vbar * math.pi * ops.pow(config.radius, 2)
-    return fired, ops.divide(1.0, gamma)
+    return fired, lam, ops.divide(1.0, gamma)
 
 
 def collisional_time(config: ExperimentConfig) -> float:
     """Saturated-regime collisional decoherence time 1/(n vbar pi R^2), inf
     at zero pressure.  Valid only for dx well above the gas de Broglie
     wavelength, where every collision resolves the superposition."""
-    return _collisions(config, FLOAT_OPS)[1]
+    return _collisions(config, FLOAT_OPS)[2]
 
 
 def dielectric_factor(epsRel: float, ops: Ops = FLOAT_OPS) -> float:
@@ -122,21 +135,21 @@ def _photon_guard(config: ExperimentConfig, temp: float, ops: Ops):
 
 
 def _photons(config: ExperimentConfig, ops: Ops):
-    """The core of `thermal_rates`: where a long-wavelength guard fires,
+    """The core of `thermal_rates`: the `_photon_guard` at tEnv and at tInt,
     and the (scattering, emission, absorption) rates.  Where kB T is 0
     there are no photons: the guard holds and the rate is 0.  The guard at
     tInt is checked after the scattering rate is computed, so with
     `FLOAT_OPS` an overflow there raises first, as it always has."""
     dielec = dielectric_factor(config.epsRel, ops)
     hc = CONSTANTS.hbar * CONSTANTS.c
-    fired = _photon_guard(config, config.tEnv, ops)[0]
+    env = _photon_guard(config, config.tEnv, ops)
     kt_env = CONSTANTS.kB * config.tEnv / hc
     lam_sc = (_C_SCATTER * CONSTANTS.c * ops.pow(config.radius, 6)
               * ops.pow(kt_env, 9) * dielec)
     dx2 = ops.pow(config.dx, 2)
-    fired = fired | _photon_guard(config, config.tInt, ops)[0]
+    internal = _photon_guard(config, config.tInt, ops)
     planck = _C_PLANCK * CONSTANTS.c * ops.pow(config.radius, 3)
-    return fired, (
+    return env, internal, (
         lam_sc * dx2,
         planck * ops.pow(CONSTANTS.kB * config.tInt / hc, 6) * dielec * dx2,
         planck * ops.pow(kt_env, 6) * dielec * dx2,
@@ -146,28 +159,30 @@ def _photons(config: ExperimentConfig, ops: Ops):
 def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
     """(scattering, emission, absorption) localization rates at the
     superposition size dx, long-wavelength regime."""
-    return _photons(config, FLOAT_OPS)[1]
+    return _photons(config, FLOAT_OPS)[2]
 
 
 def _budget(config: ExperimentConfig, ops: Ops):
-    """The core of `dephasing_budget`: where the collisional guard fires,
-    `collisional_time`, where any guard fires, and the DecoherenceRates (of
-    arrays, with ``ops=ARRAY_OPS``).  With `FLOAT_OPS` the first guard to
-    fire raises, collisions before photons.  Arrays hold validated
-    configurations, whose pressure is > 0."""
+    """The core of `dephasing_budget`: the first regime guard to fire (0 if
+    none), `collisional_time`, the wavelengths the guards compare dx with
+    (gas de Broglie, thermal at tEnv and at tInt) and the DecoherenceRates;
+    of arrays with ``ops=ARRAY_OPS``.  With `FLOAT_OPS` the first guard to
+    fire raises.  Unchecked ops take validated configurations: pressure > 0."""
     if ops.checked and config.pressure == 0.0:
-        coll_fired, tau_coll, gamma_coll = False, math.inf, 0.0   # no gas
+        coll_fired, lam_gas, tau_coll = False, math.nan, math.inf  # no gas
     else:
-        coll_fired, tau_coll = _collisions(config, ops)
-        # inf where n vbar pi R^2 overflows and tau_coll is 0
-        gamma_coll = ops.divide(1.0, tau_coll)
-    photons_fired, (g_sc, g_em, g_abs) = _photons(config, ops)
+        coll_fired, lam_gas, tau_coll = _collisions(config, ops)
+    # inf where n vbar pi R^2 overflows and tau_coll is 0
+    gamma_coll = ops.divide(1.0, tau_coll)
+    env, internal, (g_sc, g_em, g_abs) = _photons(config, ops)
     total_rate = gamma_coll + g_sc + g_em + g_abs
     p = 1.0 - ops.exp(-total_rate * experiment_duration(config))
     # in field order; passing six keywords costs more than the formulas
     rates = DecoherenceRates(gamma_coll, g_sc, g_em, g_abs,
                              ops.divide(1.0, gamma_coll), p)
-    return coll_fired, tau_coll, coll_fired | photons_fired, rates
+    guard = ops.where(coll_fired, _COLLISIONAL, ops.where(
+        env[0], _PHOTON_ENV, ops.where(internal[0], _PHOTON_INT, 0)))
+    return guard, tau_coll, (lam_gas, env[1], internal[1]), rates
 
 
 def dephasing_budget(config: ExperimentConfig) -> DecoherenceRates:

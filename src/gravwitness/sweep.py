@@ -9,10 +9,13 @@ every grid point, in row-major axis order.  `maximize` scans the same
 arrays for the best feasible point, builds that one row, and refines it by
 a deterministic coordinate descent with golden-section line searches.
 
-There is one scalar pipeline, `_scalar_point`, with the batch's arithmetic.
-`evaluate` runs it for the CLI `witness`, and the scalar rows, which every
-grid row equals bit for bit, and the line-search scores read it.  `_row`
-builds every valid row from its numbers.  `validate` issues no warning.
+One function, `_point`, computes a point's numbers: with `NAN_OPS` for one
+configuration (`evaluate` for the CLI `witness`, the scalar rows and the
+line-search scores), with `ARRAY_OPS` for a grid's valid points, so every
+grid row equals its scalar row bit for bit.  Its decoherence guards report
+which one fired instead of raising.  `_row` builds every valid row from its
+numbers; `to_csv` and the CLI write rows by one `_row_dict` and `_text`.
+`validate` issues no warning.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import functools
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -31,7 +34,7 @@ import numpy as np
 from . import constraints, decoherence, spinstate
 from .constraints import ConstraintReport, feasibility_report
 from .core import (ARRAY_OPS, NAN_OPS, ConfigError, ExperimentConfig,
-                   FIELD_NAMES, RegimeError, validate)
+                   FIELD_NAMES, validate)
 from .decoherence import DecoherenceRates
 from .gravphase import PhaseSet, static_phases
 
@@ -107,6 +110,30 @@ class SweepRow:
     reason: str = ""
 
 
+def _row_dict(row: SweepRow) -> dict:
+    """A row's columns before its reason, as CSV, tables and JSON show them."""
+    return {**row.params, "dPhiLR": row.dPhiLR, "dPhiRL": row.dPhiRL,
+            "objective": row.objective, "cpRatio": row.cpRatio,
+            "tauColl": row.tauColl, "feasible": row.feasible}
+
+
+def _text(value) -> str:
+    """A value as CSV and table text: a float to 12 significant digits, a
+    bool as true or false."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def _csv(header: list, table) -> str:
+    """CSV text of a header and rows of fields, with newline endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(table)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class SweepResult:
     spec: SweepSpec
@@ -118,16 +145,10 @@ class SweepResult:
                    "feasible", "reason"])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.csv_header())
-        for row in self.rows:
-            fields = [f"{row.params[a.name]:.12g}" for a in self.spec.axes]
-            fields += [f"{v:.12g}" for v in (row.dPhiLR, row.dPhiRL, row.objective,
-                                             row.cpRatio, row.tauColl)]
-            fields += ["true" if row.feasible else "false", row.reason]
-            writer.writerow(fields)
-        return buf.getvalue()
+        """The rows as `sweep --format csv` writes them."""
+        return _csv(self.csv_header(),
+                    ([*map(_text, _row_dict(row).values()), row.reason]
+                     for row in self.rows))
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -157,7 +178,8 @@ class Evaluation:
     """Every stage of one configuration's pipeline.
 
     ``budget`` is None when the decoherence budget is out of its regime;
-    ``regimeError`` then holds the guard's message and ``dephased`` is None.
+    ``regimeError`` then holds the guard's message, which ``report`` gives
+    as a reason, and ``dephased`` is None.
     The spin states are built and checked (finite phases and p) on access.
     """
 
@@ -182,12 +204,20 @@ def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
              tauCollOver: float = 1.0) -> Evaluation:
     """Phases, feasibility and decoherence budget of a validated
     configuration, with its noiseless and dephased spin states: the
-    `_scalar_point` a row reads, and `feasibility_report`, which raises
-    where a power overflows."""
-    phases, *_, budget, regime_error = _scalar_point(config)
+    `_point` a row reads, and `feasibility_report`, which raises where a
+    power overflows.  Where a budget guard fires the report is infeasible,
+    with the guard's reason, as the row is."""
+    point = _point(config)
     report = feasibility_report(config, targetRatio=cpRatioMax,
                                 tauCollFactor=tauCollOver)
-    return Evaluation(phases, report, budget, regime_error)
+    regime_error = decoherence._first_guard_message(config, point.guard,
+                                                    point.wavelengths)
+    reason = f"decoherence regime: {regime_error}"
+    if point.guard and reason not in report.reasons:
+        report = replace(report, feasible=False,
+                         reasons=(*report.reasons, reason))
+    return Evaluation(point.phases, report,
+                      None if point.guard else point.budget, regime_error)
 
 
 def _config(fields: dict, overrides: dict) -> ExperimentConfig:
@@ -202,26 +232,22 @@ def _config(fields: dict, overrides: dict) -> ExperimentConfig:
     return config
 
 
-def _scalar_point(cfg: ExperimentConfig) -> tuple:
-    """The scalar pipeline of a validated configuration, by `NAN_OPS`: the
-    PhaseSet, cpRatio, magRatio, the collisional tauColl (nan where its
-    guard fires) and message, the duration, the DecoherenceRates (None
-    where a guard fires) and the first guard's message; a message is "" if
-    none.  A number computed from a power that overflows is nan."""
+def _point(cfg, ops=NAN_OPS) -> SimpleNamespace:
+    """A validated configuration's numbers, or with ``ops=ARRAY_OPS`` a
+    batch's, equal bit for bit: the PhaseSet ``phases``, cpRatio,
+    magRatio, the `decoherence._budget` ``guard``, ``wavelengths``,
+    tauColl and ``budget``, the drop ``duration``, the flip probability
+    ``p`` (0 where a guard fires) and where they `_exists`.  A number
+    computed from a power that overflows is nan."""
     phases = static_phases(cfg)
-    _, _, cp_ratio, mag_ratio = constraints._closest_approach(cfg, 0.0,
-                                                              NAN_OPS)
-    try:
-        _, tau_coll, _, budget = decoherence._budget(cfg, NAN_OPS)
-        coll_error = regime_error = ""
-    except RegimeError as err:
-        budget, regime_error = None, str(err)
-        try:
-            tau_coll, coll_error = decoherence._collisions(cfg, NAN_OPS)[1], ""
-        except RegimeError:     # the budget's first guard
-            tau_coll, coll_error = math.nan, regime_error
-    return (phases, cp_ratio, mag_ratio, tau_coll, coll_error,
-            decoherence.experiment_duration(cfg), budget, regime_error)
+    _, _, cp_ratio, mag_ratio = constraints._closest_approach(cfg, 0.0, ops)
+    guard, tau_coll, wavelengths, budget = decoherence._budget(cfg, ops)
+    p = ops.where(guard, 0.0, _flip_probability(budget))
+    return SimpleNamespace(
+        phases=phases, cpRatio=cp_ratio, magRatio=mag_ratio, guard=guard,
+        wavelengths=wavelengths, tauColl=tau_coll,
+        duration=decoherence.experiment_duration(cfg), budget=budget, p=p,
+        exists=_exists(phases.dPhiLR, phases.dPhiRL, cp_ratio, mag_ratio, p))
 
 
 def _exists(dPhiLR, dPhiRL, cpRatio, magRatio, p):
@@ -244,31 +270,28 @@ def _scalar_objective(objective: str, phases: PhaseSet, p: float) -> float:
 def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
                     overrides: dict[str, float], scoring: bool = False):
     """The row of the grid point ``overrides`` on ``base``, from its
-    `_scalar_point`.  With ``scoring``, `_line_search`'s score instead,
-    without a row: the objective where the row is feasible, else -inf; and
-    the point's `_scalar_point`, None where it is invalid."""
+    `_point`.  With ``scoring``, `_line_search`'s score instead, without a
+    row: the objective where the row is feasible, else -inf; and the
+    point's `_point`, None where it is invalid."""
     try:
         cfg = validate(_config(vars(base), overrides))
     except ConfigError as err:
         return ((-math.inf, None) if scoring
                 else _invalid_row(dict(overrides), str(err)))
-    point = _scalar_point(cfg)
-    phases, cp_ratio, mag_ratio, tau_coll, coll_error, duration, budget, \
-        regime_error = point
-    p = 0.0 if budget is None else _flip_probability(budget)
-    known = budget is not None and _exists(phases.dPhiLR, phases.dPhiRL,
-                                           cp_ratio, mag_ratio, p)
+    point = _point(cfg)
+    known = not point.guard and point.exists
     if scoring and (not known or any(constraints._failing(
-            cp_ratio, mag_ratio, spec.cpRatioMax, tau_coll,
-            spec.requireTauCollOver, duration))):
+            point.cpRatio, point.magRatio, spec.cpRatioMax, point.tauColl,
+            spec.requireTauCollOver, point.duration))):
         return -math.inf, point
-    value = _scalar_objective(spec.objective, phases, p) if known else math.nan
+    value = (_scalar_objective(spec.objective, point.phases, point.p)
+             if known else math.nan)
     if scoring:
         return value, point
-    return _row(spec, dict(overrides), phases.dPhiLR, phases.dPhiRL,
-                cp_ratio, mag_ratio, tau_coll, duration, coll_error,
-                regime_error, math.nan if budget is None else budget.tauColl,
-                p, value)
+    return _row(spec, dict(overrides), cfg, point.phases.dPhiLR,
+                point.phases.dPhiRL, point.cpRatio, point.magRatio,
+                point.tauColl, point.duration, point.guard,
+                point.wavelengths, point.budget.tauColl, point.p, value)
 
 
 def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
@@ -276,20 +299,22 @@ def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
     return SweepRow(params, *[math.nan] * 5, False, f"invalid config: {error}")
 
 
-def _row(spec: SweepSpec, params: dict[str, float], dPhiLR: float,
-         dPhiRL: float, cpRatio: float, magRatio: float, tauColl: float,
-         duration: float, collError: str, regimeError: str,
+def _row(spec: SweepSpec, params: dict[str, float], cfg: ExperimentConfig,
+         dPhiLR: float, dPhiRL: float, cpRatio: float, magRatio: float,
+         tauColl: float, duration: float, guard: int, wavelengths,
          budgetTauColl: float, p: float, objective: float) -> SweepRow:
-    """The row of a valid configuration, scalar or batched: the
-    `constraints._reasons` of its numbers, then the budget guard's message
-    ``regimeError`` unless a reason already, with a nan tauColl, then each
+    """The row of a valid configuration ``cfg``, scalar or batched: the
+    `constraints._reasons` of its numbers, then the message of the budget's
+    first ``guard`` unless a reason already, with a nan tauColl, then each
     number that does not exist (``p`` is 0 out of regime)."""
-    reasons = constraints._reasons(cpRatio, magRatio, spec.cpRatioMax,
-                                   tauColl, spec.requireTauCollOver,
-                                   duration, collError)
-    if regimeError:
+    regime_error = decoherence._first_guard_message(cfg, guard, wavelengths)
+    reasons = constraints._reasons(
+        cpRatio, magRatio, spec.cpRatioMax, tauColl,
+        spec.requireTauCollOver, duration,
+        regime_error if guard == decoherence._COLLISIONAL else "")
+    if guard:
         budgetTauColl = math.nan
-        msg = f"decoherence regime: {regimeError}"
+        msg = f"decoherence regime: {regime_error}"
         if msg not in reasons:
             reasons.append(msg)
     if not _exists(dPhiLR, dPhiRL, cpRatio, magRatio, p):
@@ -303,34 +328,14 @@ def _row(spec: SweepSpec, params: dict[str, float], dPhiLR: float,
                     not reasons, "; ".join(reasons))
 
 
-def _stacked(batch: SimpleNamespace) -> SimpleNamespace:
-    """`_scalar_point`'s numbers over a batch of validated configurations,
-    from the numpy-generic cores, and the `_exists` mask.  ``regime`` marks
-    the points out of the budget's regime; their p is 0."""
-    with np.errstate(all="ignore"):
-        phases = static_phases(batch)
-        _, _, cp_ratio, mag_ratio = constraints._closest_approach(
-            batch, 0.0, ARRAY_OPS)
-        coll_fired, tau_coll, regime, budget = decoherence._budget(
-            batch, ARRAY_OPS)
-        duration = decoherence.experiment_duration(batch)
-        p = np.where(regime, 0.0, _flip_probability(budget))
-        exists = _exists(phases.dPhiLR, phases.dPhiRL, cp_ratio, mag_ratio, p)
-    return SimpleNamespace(
-        dPhiLR=phases.dPhiLR, dPhiRL=phases.dPhiRL, cpRatio=cp_ratio,
-        magRatio=mag_ratio, collisionsFired=coll_fired, tauColl=tau_coll,
-        duration=duration, regime=regime,
-        budgetTauColl=budget.tauColl, p=p, exists=exists)
-
-
 def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
     """The stage `run_sweep` and `maximize` share.  ``grid`` holds each
     point's overrides in row-major order, ``invalid`` the (grid index,
     ConfigError message) of the points `validate` rejects, ``valid`` the
-    (grid index, validated configuration) of the others, and ``batch``
-    their fields; then come `_stacked`'s columns, the dephased ``cxz`` and
-    ``cyz``, and ``feasible``: the points in regime whose numbers exist
-    and pass `constraints._failing`."""
+    (grid index, validated configuration) of the others; then come the
+    columns of their `_point`, computed as arrays in one call, the dephased
+    ``cxz`` and ``cyz``, and ``feasible``: the points with no regime guard
+    whose numbers exist and pass `constraints._failing`."""
     names = [axis.name for axis in spec.axes]
     values = [axis.values() for axis in spec.axes]
     fields = vars(base)
@@ -351,17 +356,23 @@ def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
         zip(names, np.meshgrid(*values, indexing="ij"))}})
     if base.dx is None and "dx" not in names:
         batch.dx = np.array([cfg.dx for _, cfg in valid], dtype=float)
-    points = SimpleNamespace(grid=grid, invalid=invalid, valid=valid,
-                             batch=batch, **{
-        name: np.broadcast_to(x, (len(valid),))
-        for name, x in vars(_stacked(batch)).items()})
     with np.errstate(all="ignore"):
+        point = _point(batch, ARRAY_OPS)
+        lam_gas, lam_env, lam_int = point.wavelengths
+        points = SimpleNamespace(grid=grid, invalid=invalid, valid=valid, **{
+            name: np.broadcast_to(x, (len(valid),)) for name, x in dict(
+                dPhiLR=point.phases.dPhiLR, dPhiRL=point.phases.dPhiRL,
+                cpRatio=point.cpRatio, magRatio=point.magRatio,
+                guard=point.guard, lamGas=lam_gas, lamEnv=lam_env,
+                lamInt=lam_int, tauColl=point.tauColl,
+                duration=point.duration, budgetTauColl=point.budget.tauColl,
+                p=point.p, exists=point.exists).items()})
         points.cxz, points.cyz = spinstate.dephased_correlators(
             points.dPhiLR, points.dPhiRL, points.p)
         cp, mag, coll = constraints._failing(
             points.cpRatio, points.magRatio, spec.cpRatioMax, points.tauColl,
             spec.requireTauCollOver, points.duration)
-    points.feasible = points.exists & ~(points.regime | cp | mag | coll)
+    points.feasible = points.exists & ~((points.guard != 0) | cp | mag | coll)
     return points
 
 
@@ -388,28 +399,6 @@ def _objectives(spec: SweepSpec, points: SimpleNamespace,
             for k, (cxz, cyz) in enumerate(correlators)]
 
 
-def _regime_errors(points: SimpleNamespace, index: list[int]) -> list[str]:
-    """The message of the first regime guard `dephasing_budget` meets at
-    each `_grid_points` entry of ``index``, formatted from the guards'
-    numbers over the batch as the guard raises it."""
-    batch, n = points.batch, len(points.valid)
-    with np.errstate(all="ignore"):
-        # collisions, then photons at tEnv; where neither fired, at tInt
-        guards = [(points.collisionsFired,
-                   decoherence.gas_de_broglie_wavelength(batch, ARRAY_OPS),
-                   None),
-                  (*decoherence._photon_guard(batch, batch.tEnv, ARRAY_OPS),
-                   batch.tEnv),
-                  (True, decoherence.thermal_wavelength(batch.tInt, ARRAY_OPS),
-                   batch.tInt)]
-    guards = [[np.broadcast_to(x, (n,))[index].tolist() for x in guard]
-              for guard in guards]
-    dx = np.broadcast_to(batch.dx, (n,))[index].tolist()
-    return [next(decoherence._regime_message(dx[k], scale[k], temp[k])
-                 for fired, scale, temp in guards if fired[k])
-            for k in range(len(index))]
-
-
 def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     """`_evaluate_point` at every grid point, built from `_grid_points`'s
     columns."""
@@ -418,27 +407,24 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
     rows: list[SweepRow | None] = [None] * len(grid)
     for i, error in points.invalid:
         rows[i] = _invalid_row(grid[i], error)
-    index = np.flatnonzero(points.exists & ~points.regime).tolist()
+    index = np.flatnonzero(points.exists & (points.guard == 0)).tolist()
     objectives = dict(zip(index, _objectives(spec, points, index)))
-    regime = np.flatnonzero(points.regime).tolist()
-    errors = dict(zip(regime, _regime_errors(points, regime))) if regime else {}
 
     columns = zip(points.valid, *(x.tolist() for x in (
         points.dPhiLR, points.dPhiRL, points.cpRatio, points.magRatio,
-        points.collisionsFired, points.tauColl, points.duration,
-        points.budgetTauColl, points.p, points.feasible)))
-    for j, ((i, _), dphi_lr, dphi_rl, cp_ratio, mag_ratio, coll_fired,
-            tau_coll, duration, budget_tau_coll, p, feasible) in enumerate(
-                columns):
+        points.tauColl, points.duration, points.budgetTauColl, points.p,
+        points.feasible, points.guard, points.lamGas, points.lamEnv,
+        points.lamInt)))
+    for j, ((i, cfg), dphi_lr, dphi_rl, cp_ratio, mag_ratio, tau_coll,
+            duration, budget_tau_coll, p, feasible, guard,
+            *wavelengths) in enumerate(columns):
         obj = objectives.get(j, math.nan)
         if feasible:
             rows[i] = SweepRow(grid[i], dphi_lr, dphi_rl, obj, cp_ratio,
                                budget_tau_coll, True, "")
         else:
-            regime_error = errors.get(j, "")
-            rows[i] = _row(spec, grid[i], dphi_lr, dphi_rl, cp_ratio,
-                           mag_ratio, tau_coll, duration,
-                           regime_error if coll_fired else "", regime_error,
+            rows[i] = _row(spec, grid[i], cfg, dphi_lr, dphi_rl, cp_ratio,
+                           mag_ratio, tau_coll, duration, guard, wavelengths,
                            budget_tau_coll, p, obj)
     return rows
 
@@ -481,8 +467,9 @@ def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
         trial = {**params, axis.name: from_x(x)}
         value, point = _evaluate_point(base, spec, trial, True)
         if value > best.objective:      # feasible: a row without reasons
-            best = SweepRow(trial, point[0].dPhiLR, point[0].dPhiRL, value,
-                            point[1], point[6].tauColl, True, "")
+            best = SweepRow(trial, point.phases.dPhiLR, point.phases.dPhiRL,
+                            value, point.cpRatio, point.budget.tauColl, True,
+                            "")
         return value
 
     a, b = to_x(axis.min), to_x(axis.max)

@@ -314,6 +314,28 @@ def test_witness_and_sweep_agree(capsys):
     assert row["objective"] == witness["negativityDephased"]
 
 
+@pytest.mark.parametrize("sets", [("tEnv=20",), ("tEnv=1e32",),
+                                  ("tInt=1e49",)])
+def test_witness_is_infeasible_where_a_photon_guard_fires(capsys, sets):
+    # the witness verdict is the sweep row's at the same point
+    argv = ["--paper-defaults"]
+    for item in sets:
+        argv += ["--set", item]
+    code, out, _ = run_cli(capsys, "witness", *argv)
+    assert code == 0
+    witness = json.loads(out)
+    code, out, _ = run_cli(capsys, "sweep", *argv, "--axis", "tau:2.5:5:2",
+                           "--format", "json")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["tau"] == 2.5 and not row["feasible"]
+    assert witness["feasibility"]["feasible"] is False
+    assert witness["feasibility"]["reasons"] == [
+        f"decoherence regime: {witness['dephasingRegimeError']}"]
+    assert row["reason"] == "; ".join(witness["feasibility"]["reasons"])
+    assert "long-wavelength photon regime" in row["reason"]
+
+
 def test_parser_built_once():
     assert build_parser() is build_parser()
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,6 +133,12 @@ def test_evaluate_reports_regime_error(paper_config):
     assert ev.budget is None and ev.dephased is None
     assert "thermal wavelength" in ev.regimeError
     assert negativity(ev.state) > 0
+    # infeasible, as the sweep row at this point is
+    assert not ev.report.feasible
+    assert ev.report.reasons == (f"decoherence regime: {ev.regimeError}",)
+    with pytest.raises(RegimeError) as err:
+        dephasing_budget(hot)
+    assert ev.regimeError == str(err.value)
 
 
 @given(lo=st.floats(-18.0, -11.0), hi=st.floats(-18.0, -11.0))
@@ -715,48 +722,54 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
 
     with np.errstate(all="ignore"):
         report = constraints._closest_approach(arrays, 0.0, ARRAY_OPS)
-        fired, tau, regime, rates = decoherence._budget(arrays, ARRAY_OPS)
+        collisions = decoherence._collisions(arrays, ARRAY_OPS)
+        guard, tau, wavelengths, rates = decoherence._budget(arrays,
+                                                             ARRAY_OPS)
         duration = decoherence.experiment_duration(arrays)
         failing = [column(x) for x in constraints._failing(
             report[2], report[3], target, tau, factor, duration)]
+        point = sweep._point(arrays, ARRAY_OPS)
     report = [column(x) for x in report]
-    fired, tau, regime, duration = map(column, (fired, tau, regime, duration))
+    collisions = [column(x) for x in collisions]
+    guard, tau, duration = map(column, (guard, tau, duration))
+    wavelengths = [column(x) for x in wavelengths]
     rates = {f.name: column(getattr(rates, f.name))
              for f in dataclasses.fields(rates)}
-    stacked = sweep._stacked(arrays)
-    exists = column(stacked.exists)
-    phases = [column(x) for x in (stacked.dPhiLR, stacked.dPhiRL)]
+    exists = column(point.exists)
+    phases = [column(x) for x in (point.phases.dPhiLR, point.phases.dPhiRL)]
 
     for j, cfg in enumerate(points):
-        # the scalar cores with NAN_OPS, at every point
+        # the scalar cores with NAN_OPS, guard numbers included, at every
+        # point: they raise nowhere
         assert [repr(x[j]) for x in report] == \
             [repr(v) for v in constraints._closest_approach(cfg, 0.0, NAN_OPS)]
-        coll, coll_err = _outcome(decoherence._collisions, cfg, NAN_OPS)
-        budget, budget_err = _outcome(decoherence._budget, cfg, NAN_OPS)
-        assert all(err is None or isinstance(err, RegimeError)
-                   for err in (coll_err, budget_err))
-        assert fired[j] == (coll_err is not None)
-        assert regime[j] == (budget_err is not None)
-        if coll_err is None:
-            assert repr(tau[j]) == repr(coll[1])
-        if budget_err is None:
-            assert {k: repr(v[j]) for k, v in rates.items()} == \
-                {k: repr(getattr(budget[3], k)) for k in rates}
+        assert repr([x[j] for x in collisions]) == \
+            repr(list(decoherence._collisions(cfg, NAN_OPS)))
+        budget = decoherence._budget(cfg, NAN_OPS)
+        assert repr((guard[j], tau[j], [x[j] for x in wavelengths])) == \
+            repr((budget[0], budget[1], list(budget[2])))
+        assert {k: repr(v[j]) for k, v in rates.items()} == \
+            {k: repr(getattr(budget[3], k)) for k in rates}
+        fired = collisions[0][j]
+        assert fired == (guard[j] == decoherence._COLLISIONAL)
         want_phases = static_phases(cfg)
         assert repr([x[j] for x in phases]) == \
             repr([want_phases.dPhiLR, want_phases.dPhiRL])
-        p = 0.0 if budget_err is not None else budget[3].totalDephasing / 2.0
+        p = 0.0 if guard[j] else budget[3].totalDephasing / 2.0
         assert exists[j] == sweep._exists(want_phases.dPhiLR,
                                           want_phases.dPhiRL, report[2][j],
                                           report[3][j], p)
 
-        # the public functions, with FLOAT_OPS, wherever they return
+        # the public functions, with FLOAT_OPS, wherever they return or
+        # raise a guard's message
         want_report, report_err = _outcome(feasibility_report, cfg, target,
                                            0.0, factor)
         want_tau, tau_err = _outcome(collisional_time, cfg)
         want_rates, rates_err = _outcome(dephasing_budget, cfg)
         assert all(err is None or isinstance(err, (RegimeError, OverflowError))
                    for err in (report_err, tau_err, rates_err))
+        coll_error = (decoherence._regime_message(cfg.dx, wavelengths[0][j])
+                      if fired else "")
         if report_err is not None:
             # a power overflows in cpRatio or magRatio
             assert not exists[j]
@@ -767,17 +780,19 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
                 [repr(getattr(want_report, k)) for k in got]
             assert want_report.reasons == tuple(constraints._reasons(
                 got["cpRatio"], got["magRatio"], target, tau[j], factor,
-                duration[j], str(coll_err) if fired[j] else ""))
+                duration[j], coll_error))
             # the decision on arrays: a failing check, or the collisional
             # guard
             assert want_report.feasible == \
-                (not (fired[j] or any(mask[j] for mask in failing)))
+                (not (fired or any(mask[j] for mask in failing)))
         if tau_err is None or isinstance(tau_err, RegimeError):
-            assert fired[j] == isinstance(tau_err, RegimeError)
+            assert str(tau_err or "") == coll_error
         if tau_err is None:
             assert repr(tau[j]) == repr(want_tau)
         if rates_err is None or isinstance(rates_err, RegimeError):
-            assert regime[j] == isinstance(rates_err, RegimeError)
+            assert str(rates_err or "") == decoherence._first_guard_message(
+                cfg, guard[j], [x[j] for x in wavelengths])
+            assert bool(guard[j]) == (rates_err is not None)
         if rates_err is None:
             assert {k: repr(v[j]) for k, v in rates.items()} == \
                 {k: repr(getattr(want_rates, k)) for k in rates}
@@ -807,23 +822,24 @@ def scalar_calls(monkeypatch):
 def test_witness_grid_calls_no_scalar_report(paper_config, scalar_calls):
     spec = SweepSpec(axes=_DENSE_AXES, objective="witnessOptimized")
     rows = run_sweep(spec, paper_config).rows
-    regime_rows = sum("decoherence regime" in r.reason for r in rows)
-    assert regime_rows > 0
+    assert any("decoherence regime" in r.reason for r in rows)
     assert scalar_calls["feasibility_report"] == 0
-    # a regime row reads its guard's message from the scalar budget
-    assert scalar_calls["budget"] <= regime_rows
+    # a regime row formats its guard's message from the batch's numbers
+    assert scalar_calls["budget"] == 0
 
 
 @pytest.fixture
 def scalar_points(monkeypatch):
-    """The configurations `sweep._scalar_point` is called with."""
+    """The single configurations `sweep._point` is called with; a batch
+    of them is not counted."""
     calls = []
-    original = sweep._scalar_point
+    original = sweep._point
 
-    def counting(cfg):
-        calls.append(cfg)
-        return original(cfg)
-    monkeypatch.setattr(sweep, "_scalar_point", counting)
+    def counting(cfg, ops=NAN_OPS):
+        if isinstance(cfg, ExperimentConfig):
+            calls.append(cfg)
+        return original(cfg, ops)
+    monkeypatch.setattr(sweep, "_point", counting)
     return calls
 
 
@@ -843,6 +859,9 @@ def _check_batched(scalar_points, spec, base):
         warnings.simplefilter("ignore", ConfigConsistencyWarning)
         expected = _scalar_rows(spec, base)
     assert [repr(r) for r in rows] == [repr(r) for r in expected]
+    # the scalar rows show the fixture counting: one call a valid point
+    assert len(scalar_points) == sum(
+        not r.reason.startswith("invalid config") for r in rows) > 0
     scalar_points.clear()
     return rows
 
@@ -1084,9 +1103,11 @@ def test_scalar_rows_read_what_evaluate_gives(paper_config, probe, fields,
         return
     _, state_err = _outcome(lambda: (ev.state, ev.dephased))
     assert bool(arithmetic) == (state_err is not None)
+    # the report holds the budget guard's reason, as the row does
     reasons = list(ev.report.reasons)
-    if ev.regimeError and f"decoherence regime: {ev.regimeError}" not in reasons:
-        reasons.append(f"decoherence regime: {ev.regimeError}")
+    if ev.regimeError:
+        assert f"decoherence regime: {ev.regimeError}" in reasons
+    assert ev.report.feasible == (not reasons)
     assert row.reason == "; ".join(reasons + arithmetic)
     assert row.feasible == (not reasons + arithmetic)
     assert repr((row.dPhiLR, row.dPhiRL, row.cpRatio)) == \
@@ -1134,3 +1155,62 @@ def test_regime_reasons_are_the_scalar_guard_texts(paper_config, axis, guard):
         else:
             assert "decoherence regime" not in row.reason
     assert 0 < hot < len(spec.axes[0].values()) * 2
+
+
+def _regime_rows_match_the_raised_guards(spec, base):
+    """Every regime row of the sweep carries, as its last reason, the text
+    of the RegimeError that `dephasing_budget` raises at its point; the
+    count of rows per guard."""
+    counts = dict.fromkeys(("saturated collisional", "at tEnv", "at tInt"), 0)
+    for row in run_sweep(spec, base).rows:
+        if "decoherence regime: " not in row.reason:
+            continue
+        cfg = validate(dataclasses.replace(base, **row.params))
+        with pytest.raises(RegimeError) as err:
+            dephasing_budget(cfg)
+        assert row.reason.endswith(f"decoherence regime: {err.value}")
+        text = str(err.value)
+        if text.startswith("saturated collisional"):
+            counts["saturated collisional"] += 1
+        else:
+            assert text.startswith("long-wavelength photon")
+            counts["at tEnv" if text.endswith(f"at {cfg.tEnv:g} K")
+                   else "at tInt"] += 1
+    return counts
+
+
+def test_regime_rows_carry_the_public_guard_texts(paper_config,
+                                                  monkeypatch):
+    # the checked public budget is the reference for the guard order and
+    # texts the sweep reads from the batch's guard numbers
+    spec = SweepSpec(axes=(SweepAxis("tEnv", 1e-20, 30.0, 6, "log"),
+                           SweepAxis("tInt", 0.1, 30.0, 3, "log")))
+    assert _regime_rows_match_the_raised_guards(spec, paper_config) == {
+        "saturated collisional": 9, "at tEnv": 3, "at tInt": 2}
+    # and on the benchmark's mixed grid
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    mixed = workloads.build_search_mixed(7)
+    counts = _regime_rows_match_the_raised_guards(mixed.spec, mixed.base)
+    assert sum(counts.values()) == 240
+
+
+def test_an_int_whose_power_overflows_gives_arithmetic_rows(paper_config):
+    # an int power is exact, and used to overflow only when converted to a
+    # float; the sweep takes the power of the int as a float
+    spec = SweepSpec(axes=(SweepAxis("tau", 1.0, 2.0, 2),))
+    rows = run_sweep(spec, validate(dataclasses.replace(
+        paper_config, radius=10**52, d=1e53))).rows
+    want = run_sweep(spec, validate(dataclasses.replace(
+        paper_config, radius=1e52, d=1e53))).rows
+    assert [repr(r) for r in rows] == [repr(r) for r in want]
+    assert all(r.reason.endswith("arithmetic: cpRatio nan, p nan")
+               for r in rows)
+    # where it does not overflow, the int's exact power, rounded once, as
+    # the public functions take it: 475.0**6 rounds differently
+    base = validate(dataclasses.replace(paper_config, radius=475, d=1500.0,
+                                        dx=1.0, m1=1e6, m2=1e6))
+    row = run_sweep(spec, base).rows[0]
+    report = feasibility_report(dataclasses.replace(base, tau=1.0))
+    assert repr(row.cpRatio) == repr(report.cpRatio)
