@@ -31,7 +31,7 @@ for row in result.rows:
           f"{closed:>11.6f}  {str(row.feasible):>8}")
 
 out = pathlib.Path(__file__).with_name("tau_sweep.csv")
-result.write_csv(out)
+out.write_text(result.to_csv(), encoding="utf-8", newline="")
 print(f"  rows written to {out.name}")
 
 print("\n=== constrained maximization ===")

@@ -306,24 +306,24 @@ class Ops:
     configurations, no check can fail and a guard gives where it fires."""
 
     pow: Callable
-    exp: Callable
+    expm1: Callable
     sqrt: Callable
     divide: Callable
     where: Callable
     checked: bool
 
 
-FLOAT_OPS = Ops(pow=pow, exp=math.exp, sqrt=math.sqrt, divide=_divide,
+FLOAT_OPS = Ops(pow=pow, expm1=math.expm1, sqrt=math.sqrt, divide=_divide,
                 where=_choose, checked=True)
 # numbers with the arithmetic of ARRAY_OPS: a power is a float, nan where it
-# overflows.  exp stays libm's: its one argument, -Gamma T of the budget, is
-# <= 0 or nan
-NAN_OPS = Ops(pow=_pow_or_nan, exp=math.exp, sqrt=math.sqrt, divide=_divide,
-              where=_choose, checked=False)
-# numpy's array pow and exp round differently from libm in the last bit on
-# a few percent of inputs, so arrays go through libm element by element;
+# overflows.  expm1 stays libm's: its one argument, -Gamma T of the budget,
+# is <= 0 or nan
+NAN_OPS = Ops(pow=_pow_or_nan, expm1=math.expm1, sqrt=math.sqrt,
+              divide=_divide, where=_choose, checked=False)
+# numpy's array pow and expm1 round differently from libm in the last bit on
+# some inputs, so arrays go through libm element by element;
 # np.sqrt is correctly rounded, as libm's sqrt is
-ARRAY_OPS = Ops(pow=_elementwise(pow), exp=_elementwise(math.exp),
+ARRAY_OPS = Ops(pow=_elementwise(pow), expm1=_elementwise(math.expm1),
                 sqrt=np.sqrt, divide=_divide_arrays, where=np.where,
                 checked=False)
 

@@ -176,7 +176,8 @@ def _budget(config: ExperimentConfig, ops: Ops):
     gamma_coll = ops.divide(1.0, tau_coll)
     env, internal, (g_sc, g_em, g_abs) = _photons(config, ops)
     total_rate = gamma_coll + g_sc + g_em + g_abs
-    p = 1.0 - ops.exp(-total_rate * experiment_duration(config))
+    # 1 - e^{-Gamma T} without cancelling where Gamma T is small
+    p = -ops.expm1(-total_rate * experiment_duration(config))
     # in field order; passing six keywords costs more than the formulas
     rates = DecoherenceRates(gamma_coll, g_sc, g_em, g_abs,
                              ops.divide(1.0, gamma_coll), p)

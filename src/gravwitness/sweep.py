@@ -8,6 +8,9 @@ objective builds and checks both spin states.  `run_sweep` builds a row at
 every grid point, in row-major axis order.  `maximize` scans the same
 arrays for the best feasible point, builds that one row, and refines it by
 a deterministic coordinate descent with golden-section line searches.
+`run_sweep` keeps the start row of its grid, so a `maximize` on the same
+spec and base objects (``is``, not ``==``) before the next `run_sweep`
+skips that scan; CLI `sweep --maximize` runs `maximize` alone and scans.
 
 One function, `_point`, computes a point's numbers: with `NAN_OPS` for one
 configuration (`evaluate` for the CLI `witness`, the scalar rows and the
@@ -25,6 +28,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable
@@ -59,6 +63,11 @@ class SweepAxis:
         if not (math.isfinite(self.min) and math.isfinite(self.max) and self.min < self.max):
             raise ValueError(f"axis {self.name}: need finite min < max, "
                              f"got [{self.min!r}, {self.max!r}]")
+        try:
+            operator.index(self.count)
+        except TypeError:
+            raise ValueError(f"axis {self.name}: count must be an integer, "
+                             f"got {self.count!r}") from None
         if self.count < 2:
             raise ValueError(f"axis {self.name}: count must be >= 2, got {self.count}")
         if self.spacing not in ("linear", "log"):
@@ -149,10 +158,6 @@ class SweepResult:
         return _csv(self.csv_header(),
                     ([*map(_text, _row_dict(row).values()), row.reason]
                      for row in self.rows))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
 
 
 def _objective_value(objective: str, cxz: float, cyz: float,
@@ -399,9 +404,25 @@ def _objectives(spec: SweepSpec, points: SimpleNamespace,
             for k, (cxz, cyz) in enumerate(correlators)]
 
 
-def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
+def _best_row(points: SimpleNamespace, feasible: np.ndarray,
+              values: list[float]) -> SweepRow | None:
+    """`maximize`'s start row: the first of the feasible `_grid_points`
+    entries ``feasible`` (ascending) with the largest of their objectives
+    ``values``, with a params dict of its own; None when there is none."""
+    if not feasible.size:
+        return None
+    k = int(np.argmax(values))
+    best = feasible[k]
+    return SweepRow(dict(points.grid[points.valid[best][0]]),
+                    points.dPhiLR[best].item(), points.dPhiRL[best].item(),
+                    values[k], points.cpRatio[best].item(),
+                    points.budgetTauColl[best].item(), True, "")
+
+
+def _grid_rows(spec: SweepSpec, base: ExperimentConfig
+               ) -> tuple[list[SweepRow], SweepRow | None]:
     """`_evaluate_point` at every grid point, built from `_grid_points`'s
-    columns."""
+    columns, and the `_best_row` of their objectives."""
     points = _grid_points(spec, base)
     grid = points.grid
     rows: list[SweepRow | None] = [None] * len(grid)
@@ -409,6 +430,9 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
         rows[i] = _invalid_row(grid[i], error)
     index = np.flatnonzero(points.exists & (points.guard == 0)).tolist()
     objectives = dict(zip(index, _objectives(spec, points, index)))
+    feasible = np.flatnonzero(points.feasible)
+    start = _best_row(points, feasible,
+                      [objectives[j] for j in feasible.tolist()])
 
     columns = zip(points.valid, *(x.tolist() for x in (
         points.dPhiLR, points.dPhiRL, points.cpRatio, points.magRatio,
@@ -426,31 +450,39 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig) -> list[SweepRow]:
             rows[i] = _row(spec, grid[i], cfg, dphi_lr, dphi_rl, cp_ratio,
                            mag_ratio, tau_coll, duration, guard, wavelengths,
                            budget_tau_coll, p, obj)
-    return rows
+    return rows, start
+
+
+_NO_START = "no feasible grid point to start from"
+# the spec, base and `_best_row` of the last `run_sweep`, for a `maximize`
+# on the same objects.  Identity, not ==: a frozen dataclass's == takes
+# -0.0 for 0.0 and never holds with a nan field; holding the objects keeps
+# their ids from being reused.
+_last_sweep = (None, None, None)
 
 
 def _start_row(spec: SweepSpec, base: ExperimentConfig) -> SweepRow:
-    """The first `run_sweep` row with the largest objective among the
-    feasible rows (all finite), and the only row built; ValueError when
-    there is none."""
+    """The `_best_row` of a fresh `_grid_points` scan, which builds no
+    other row: the first `run_sweep` row with the largest objective among
+    the feasible rows (all finite).  ValueError when there is none.
+    `maximize` calls it unless `run_sweep` last ran on the same objects."""
     points = _grid_points(spec, base)
     feasible = np.flatnonzero(points.feasible)
-    if not feasible.size:
-        raise ValueError("no feasible grid point to start from")
-    values = _objectives(spec, points, feasible)
-    k = int(np.argmax(values))
-    best = feasible[k]
-    return SweepRow(points.grid[points.valid[best][0]],
-                    points.dPhiLR[best].item(), points.dPhiRL[best].item(),
-                    values[k], points.cpRatio[best].item(),
-                    points.budgetTauColl[best].item(), True, "")
+    row = _best_row(points, feasible, _objectives(spec, points, feasible))
+    if row is None:
+        raise ValueError(_NO_START)
+    return row
 
 
 def run_sweep(spec: SweepSpec, base_config: ExperimentConfig) -> SweepResult:
     """Every grid point's row, in row-major order of the axes as given;
     invalid points and those whose numbers do not exist are infeasible
-    rows.  Each equals `_evaluate_point`'s."""
-    return SweepResult(spec=spec, rows=tuple(_grid_rows(spec, base_config)))
+    rows.  Each equals `_evaluate_point`'s.  Keeps the grid's start row
+    for a `maximize` on the same ``spec`` and ``base_config`` objects."""
+    global _last_sweep
+    rows, start = _grid_rows(spec, base_config)
+    _last_sweep = (spec, base_config, start)
+    return SweepResult(spec=spec, rows=tuple(rows))
 
 
 def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
@@ -491,14 +523,22 @@ def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
 def maximize(spec: SweepSpec,
              base_config: ExperimentConfig) -> tuple[ExperimentConfig, SweepRow]:
     """Best feasible grid point refined by coordinate descent from
-    `_start_row`; each line-search probe is validated once and scored
-    without a row.  Returns the row that set the incumbent, whose objective
-    is >= every feasible grid row, and its validated configuration.  Raises
-    ValueError when no grid point is feasible.  Deterministic for a fixed
-    spec."""
+    `_start_row`, or from the start row `run_sweep` kept when it last ran
+    on these same ``spec`` and ``base_config`` objects (``is``): the same
+    row, without a second grid scan.  Each line-search probe is validated
+    once and scored without a row.  Returns the row that set the
+    incumbent, whose objective is >= every feasible grid row, and its
+    validated configuration.  Raises ValueError when no grid point is
+    feasible.  Deterministic for a fixed spec."""
     # a line search through the row it last returned would return it again
     searched = {}       # axis name -> the row its last line search returned
-    best = _start_row(spec, base_config)
+    last_spec, last_base, best = _last_sweep
+    if spec is not last_spec or base_config is not last_base:
+        best = _start_row(spec, base_config)
+    elif best is None:
+        raise ValueError(_NO_START)
+    else:       # a row of its own: the caller may change the one it gets
+        best = replace(best, params=dict(best.params))
     for _ in range(_ROUNDS):
         for axis in spec.axes:
             if searched.get(axis.name) is not best:

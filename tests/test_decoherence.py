@@ -5,6 +5,7 @@ import pytest
 
 from gravwitness.core import RegimeError
 from gravwitness.decoherence import (collisional_time, dephasing_budget,
+                                     experiment_duration,
                                      gas_de_broglie_wavelength, gas_density,
                                      thermal_rates, thermal_wavelength)
 from gravwitness.spinstate import apply_dephasing, entangled_state, witness
@@ -131,6 +132,24 @@ def test_budget_reference_point(paper_config):
     assert budget.tauColl == pytest.approx(TAU_COLL_REF, rel=1e-12)
     assert 0.0 <= budget.totalDephasing < 1.0
 
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    # Gamma T ~ 2e-15, where 1 - exp(-Gamma T) in floats was 2.5 % off
+    dict(pressure=1e-30, tEnv=1e-3, tInt=1e-3),
+])
+def test_total_dephasing_against_mpmath(paper_config, fields):
+    # 1 - e^{-Gamma T} at 50 digits from the budget's own rates
+    from mpmath import mp, mpf
+
+    config = dataclasses.replace(paper_config, **fields)
+    budget = dephasing_budget(config)
+    with mp.workdps(50):
+        rate = sum(mpf(x) for x in (budget.gammaColl, budget.gammaSc,
+                                    budget.gammaEm, budget.gammaAbs))
+        want = float(1 - mp.exp(-rate * experiment_duration(config)))
+    assert budget.totalDephasing == pytest.approx(want, rel=1e-14, abs=0.0)
 
 def test_budget_quiet_limit(paper_config):
     quiet = dataclasses.replace(paper_config, pressure=0.0, tEnv=0.0, tInt=0.0)

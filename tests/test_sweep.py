@@ -46,6 +46,10 @@ def test_axis_validation():
         SweepAxis("tau", 2.0, 1.0, 5)
     with pytest.raises(ValueError, match="count"):
         SweepAxis("tau", 0.0, 1.0, 1)
+    for count in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError,
+                           match="axis tau: count must be an integer"):
+            SweepAxis("tau", 0.0, 1.0, count)
     with pytest.raises(ValueError, match="spacing"):
         SweepAxis("tau", 0.0, 1.0, 5, "cubic")
     with pytest.raises(ValueError, match="log"):
@@ -64,6 +68,11 @@ def test_spec_validation():
         SweepSpec(axes=(axis,), objective="entropy")
     with pytest.raises(ValueError, match="requireTauCollOver"):
         SweepSpec(axes=(axis,), requireTauCollOver=0.5)
+
+
+def test_numpy_integer_count(paper_config):
+    spec = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, np.int64(3)),))
+    assert len(run_sweep(spec, paper_config).rows) == 3
 
 
 def test_log_axis_values():
@@ -238,8 +247,12 @@ def test_maximize_single_feasible_point(paper_config):
 
 def test_maximize_without_feasible_point(paper_config):
     spec = SweepSpec(axes=(SweepAxis("tau", 0.1, 5.0, 4),), cpRatioMax=1e-9)
-    with pytest.raises(ValueError, match="feasible"):
-        maximize(spec, paper_config)
+    _, cold = _outcome(maximize, spec, paper_config)
+    run_sweep(spec, paper_config)
+    # the start row a sweep of the same objects kept: none
+    _, kept = _outcome(maximize, spec, paper_config)
+    assert repr(kept) == repr(cold) == repr(
+        ValueError("no feasible grid point to start from"))
 
 
 def test_maximize_never_returns_infeasible(paper_config):
@@ -644,10 +657,65 @@ def test_maximize_builds_one_row_from_its_start_grid(paper_config,
     monkeypatch.setattr(sweep, "SweepRow", row)
     monkeypatch.setattr(sweep, "_evaluate_point", evaluate_point)
     monkeypatch.setattr(decoherence, "_budget", budget)
-    maximize(spec, paper_config)
+    # an equal spec, not the swept one: maximize scans its own grid
+    maximize(dataclasses.replace(spec), paper_config)
     assert counts["evaluations"] > 0
     assert counts["rows"] <= 1 + counts["evaluations"]
     assert counts["grid budgets"] == 0
+
+
+@given(spec=grids(max_count=3), kinematic=st.booleans())
+@example(spec=SweepSpec(axes=_DENSE_AXES), kinematic=False)
+@example(spec=SweepSpec(axes=_DENSE_AXES), kinematic=True)
+@settings(max_examples=15, deadline=None)
+def test_maximize_after_run_sweep_equals_a_cold_maximize(paper_config, spec,
+                                                         kinematic):
+    base = _kinematic_unequal(paper_config) if kinematic else paper_config
+    stale = SweepSpec(axes=(SweepAxis("tau", 0.5, 8.0, 2),))
+    for objective in OBJECTIVES:
+        spec = dataclasses.replace(spec, objective=objective)
+        want = repr(_outcome(maximize, spec, base))     # no sweep of spec yet
+        for row in run_sweep(spec, base).rows:
+            row.params.clear()          # the caller's rows, not the kept one
+        # the same objects start from the kept row, equal copies scan
+        got = _outcome(maximize, spec, base)
+        assert repr(got) == want
+        if got[0] is not None:
+            got[0][1].params.clear()
+        assert repr(_outcome(maximize, spec, base)) == want
+        assert repr(_outcome(maximize, dataclasses.replace(spec),
+                             dataclasses.replace(base))) == want
+        # a slot another spec or base left
+        run_sweep(stale, base)
+        assert repr(_outcome(maximize, spec, base)) == want
+        run_sweep(spec, dataclasses.replace(base))
+        assert repr(_outcome(maximize, spec, base)) == want
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_maximize_after_run_sweep_scans_no_grid(paper_config, monkeypatch,
+                                                objective):
+    counts = dict.fromkeys(("_grid_points", "_objectives"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _original=getattr(sweep, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(sweep, name, counting)
+
+    def stages(swept, maximized):
+        counts.update(dict.fromkeys(counts, 0))
+        run_sweep(*swept)
+        maximize(*maximized)
+        return counts["_grid_points"], counts["_objectives"]
+    spec = SweepSpec(axes=_DENSE_AXES, objective=objective)
+    same = (spec, paper_config)
+    # one grid stage, and run_sweep finds its start row in the objectives
+    # its rows hold
+    assert stages(same, same) == (1, 1)
+    for other in [(dataclasses.replace(spec), paper_config),
+                  (spec, dataclasses.replace(paper_config))]:
+        assert stages(same, other) == (2, 2)
+        assert stages(other, same) == (2, 2)
 
 
 # ------------------------------------- batched cores vs the scalar functions
@@ -995,6 +1063,7 @@ def test_witness_sweep_and_maximize_build_no_state(paper_config,
     spec = SweepSpec(axes=_MIXED_AXES, objective="witnessOptimized")
     rows = run_sweep(spec, paper_config).rows
     maximize(spec, paper_config)
+    maximize(dataclasses.replace(spec), paper_config)   # scans its own grid
     assert _row_kinds(rows) == {"invalid", "regime", "infeasible", "feasible"}
     assert built_states == []
 
