@@ -102,8 +102,9 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _build_config(args) -> tuple[ExperimentConfig, list[str]]:
-    """The validated configuration, and the `core._consistency_notes` of
-    the final one, after ``--set``, for the caller to report as data."""
+    """The configuration after ``--set``, validated, or for a sweep as
+    given, so a null ``dx`` stays kinematic at every point; and its
+    `core._consistency_notes`, for the caller to report as data."""
     if args.config and args.paper_defaults:
         raise CliUsageError("--config and --paper-defaults are mutually exclusive")
     config = (_replaced(_read_json(args.config), paper_defaults())
@@ -111,9 +112,10 @@ def _build_config(args) -> tuple[ExperimentConfig, list[str]]:
     valid = validate(config)
     overrides = _parse_overrides(args.set)
     if overrides:
-        config = _replaced(overrides, valid)
+        config = _replaced(overrides, config)
         valid = validate(config)
-    return valid, _consistency_notes(config)
+    return (config if args.command == "sweep" else valid,
+            _consistency_notes(config))
 
 
 # ---------------------------------------------------------------- commands

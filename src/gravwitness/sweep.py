@@ -1,8 +1,8 @@
 """Constrained parameter-space exploration.
 
 Grid sweeps validate each point on its own, then compute the phases,
-feasibility, decoherence budget and objective of the valid points as
-arrays, by the numpy-generic cores the scalar functions call.  The witness
+feasibility, decoherence budget and objective as arrays, on the axes, by
+the numpy-generic cores the scalar functions call.  The witness
 objectives read the closed-form dephased <XZ>, <YZ>; the negativity
 objective builds and checks both spin states.  `run_sweep` builds a row at
 every grid point, in row-major axis order.  `maximize` scans the same
@@ -12,13 +12,12 @@ a deterministic coordinate descent with golden-section line searches.
 spec and base objects (``is``, not ``==``) before the next `run_sweep`
 skips that scan; CLI `sweep --maximize` runs `maximize` alone and scans.
 
-One function, `_point`, computes a point's numbers: with `NAN_OPS` for one
-configuration (`evaluate` for the CLI `witness`, the scalar rows and the
-line-search scores), with `ARRAY_OPS` for a grid's valid points, so every
+One function, `_point`, computes a point's numbers into a `_Point`: with
+`NAN_OPS` for one configuration, with `ARRAY_OPS` for a grid, so every
 grid row equals its scalar row bit for bit.  Its decoherence guards report
-which one fired instead of raising.  `_row` builds every valid row from its
-numbers; `to_csv` and the CLI write rows by one `_row_dict` and `_text`.
-`validate` issues no warning.
+which one fired instead of raising.  `_row` builds a valid row from a
+scalar record, `_feasible_row` one with no reason.  `to_csv` and the CLI
+write rows by one `_row_dict` and `_text`; `validate` issues no warning.
 """
 
 from __future__ import annotations
@@ -208,21 +207,19 @@ class Evaluation:
 def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
              tauCollOver: float = 1.0) -> Evaluation:
     """Phases, feasibility and decoherence budget of a validated
-    configuration, with its noiseless and dephased spin states: the
-    `_point` a row reads, and `feasibility_report`, which raises where a
-    power overflows.  Where a budget guard fires the report is infeasible,
-    with the guard's reason, as the row is."""
-    point = _point(config)
+    configuration, with its noiseless and dephased spin states.  The
+    report is `feasibility_report`'s, which raises where a power
+    overflows, and infeasible where a budget guard fires, as the row is."""
+    phases = static_phases(config)
+    guard, _, wavelengths, budget = decoherence._budget(config, NAN_OPS)
     report = feasibility_report(config, targetRatio=cpRatioMax,
                                 tauCollFactor=tauCollOver)
-    regime_error = decoherence._first_guard_message(config, point.guard,
-                                                    point.wavelengths)
+    regime_error = decoherence._first_guard_message(config, guard, wavelengths)
     reason = f"decoherence regime: {regime_error}"
-    if point.guard and reason not in report.reasons:
+    if guard and reason not in report.reasons:
         report = replace(report, feasible=False,
                          reasons=(*report.reasons, reason))
-    return Evaluation(point.phases, report,
-                      None if point.guard else point.budget, regime_error)
+    return Evaluation(phases, report, None if guard else budget, regime_error)
 
 
 def _config(fields: dict, overrides: dict) -> ExperimentConfig:
@@ -237,22 +234,47 @@ def _config(fields: dict, overrides: dict) -> ExperimentConfig:
     return config
 
 
-def _point(cfg, ops=NAN_OPS) -> SimpleNamespace:
-    """A validated configuration's numbers, or with ``ops=ARRAY_OPS`` a
-    batch's, equal bit for bit: the PhaseSet ``phases``, cpRatio,
-    magRatio, the `decoherence._budget` ``guard``, ``wavelengths``,
-    tauColl and ``budget``, the drop ``duration``, the flip probability
-    ``p`` (0 where a guard fires) and where they `_exists`.  A number
-    computed from a power that overflows is nan."""
+@dataclass(slots=True)  # slots, positional __init__: each probe builds one
+class _Point:
+    """A point's numbers: one configuration's, or a batch's columns.
+    ``tauColl`` is the budget's, as a row shows it (nan where a guard
+    fires), ``collisionalTime`` the one the tauColl check compares;
+    ``guard`` and ``wavelengths`` are `decoherence._budget`'s."""
+
+    dPhiLR: float
+    dPhiRL: float
+    cpRatio: float
+    magRatio: float
+    tauColl: float
+    collisionalTime: float
+    duration: float
+    guard: int
+    wavelengths: tuple
+    p: float            # flip probability, 0 where a guard fires
+    exists: bool        # where the numbers `_exists`
+
+    def __iter__(self):
+        return map(self.__getattribute__, self.__slots__)
+
+    def apply(self, fn) -> "_Point":
+        """The record of ``fn`` of each column, and of each wavelength."""
+        return _Point(*[tuple(map(fn, x)) if isinstance(x, tuple) else fn(x)
+                        for x in self])
+
+
+def _point(cfg, ops=NAN_OPS) -> _Point:
+    """A validated configuration's `_Point`, or with ``ops=ARRAY_OPS`` a
+    batch's, equal bit for bit.  A number computed from a power that
+    overflows is nan."""
     phases = static_phases(cfg)
     _, _, cp_ratio, mag_ratio = constraints._closest_approach(cfg, 0.0, ops)
-    guard, tau_coll, wavelengths, budget = decoherence._budget(cfg, ops)
+    guard, coll_time, wavelengths, budget = decoherence._budget(cfg, ops)
+    lr, rl = phases.dPhiLR, phases.dPhiRL
     p = ops.where(guard, 0.0, _flip_probability(budget))
-    return SimpleNamespace(
-        phases=phases, cpRatio=cp_ratio, magRatio=mag_ratio, guard=guard,
-        wavelengths=wavelengths, tauColl=tau_coll,
-        duration=decoherence.experiment_duration(cfg), budget=budget, p=p,
-        exists=_exists(phases.dPhiLR, phases.dPhiRL, cp_ratio, mag_ratio, p))
+    return _Point(lr, rl, cp_ratio, mag_ratio,
+                  ops.where(guard, math.nan, budget.tauColl), coll_time,
+                  decoherence.experiment_duration(cfg), guard, wavelengths,
+                  p, _exists(lr, rl, cp_ratio, mag_ratio, p))
 
 
 def _exists(dPhiLR, dPhiRL, cpRatio, magRatio, p):
@@ -264,9 +286,9 @@ def _exists(dPhiLR, dPhiRL, cpRatio, magRatio, p):
             & (p >= 0.0) & (p <= 1.0))
 
 
-def _scalar_objective(objective: str, phases: PhaseSet, p: float) -> float:
-    """The objective of `evaluate`'s dephased state, flip probability p."""
-    lr, rl = phases.dPhiLR, phases.dPhiRL
+def _scalar_objective(objective: str, point: _Point) -> float:
+    """The objective of `evaluate`'s dephased state at a scalar `_Point`."""
+    lr, rl, p = point.dPhiLR, point.dPhiRL, point.p
     cxz, cyz = spinstate.dephased_correlators(lr, rl, p)
     return _objective_value(objective, float(cxz), float(cyz), lambda: (
         spinstate.apply_dephasing(spinstate.entangled_state(lr, rl), p, p)))
@@ -286,17 +308,14 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
     point = _point(cfg)
     known = not point.guard and point.exists
     if scoring and (not known or any(constraints._failing(
-            point.cpRatio, point.magRatio, spec.cpRatioMax, point.tauColl,
-            spec.requireTauCollOver, point.duration))):
+            point.cpRatio, point.magRatio, spec.cpRatioMax,
+            point.collisionalTime, spec.requireTauCollOver,
+            point.duration))):
         return -math.inf, point
-    value = (_scalar_objective(spec.objective, point.phases, point.p)
-             if known else math.nan)
+    value = _scalar_objective(spec.objective, point) if known else math.nan
     if scoring:
         return value, point
-    return _row(spec, dict(overrides), cfg, point.phases.dPhiLR,
-                point.phases.dPhiRL, point.cpRatio, point.magRatio,
-                point.tauColl, point.duration, point.guard,
-                point.wavelengths, point.budget.tauColl, point.p, value)
+    return _row(spec, dict(overrides), cfg, point, value)
 
 
 def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
@@ -304,43 +323,47 @@ def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
     return SweepRow(params, *[math.nan] * 5, False, f"invalid config: {error}")
 
 
+def _feasible_row(params: dict[str, float], point: _Point,
+                  objective: float) -> SweepRow:
+    """The row of a feasible point's scalar `_Point`."""
+    return SweepRow(params, point.dPhiLR, point.dPhiRL, objective,
+                    point.cpRatio, point.tauColl, True, "")
+
+
 def _row(spec: SweepSpec, params: dict[str, float], cfg: ExperimentConfig,
-         dPhiLR: float, dPhiRL: float, cpRatio: float, magRatio: float,
-         tauColl: float, duration: float, guard: int, wavelengths,
-         budgetTauColl: float, p: float, objective: float) -> SweepRow:
-    """The row of a valid configuration ``cfg``, scalar or batched: the
-    `constraints._reasons` of its numbers, then the message of the budget's
-    first ``guard`` unless a reason already, with a nan tauColl, then each
-    number that does not exist (``p`` is 0 out of regime)."""
-    regime_error = decoherence._first_guard_message(cfg, guard, wavelengths)
+         point: _Point, objective: float) -> SweepRow:
+    """The row of a valid configuration ``cfg`` at its scalar `_Point`: the
+    `constraints._reasons` of its numbers, then the message of the
+    budget's first guard unless a reason already, then each number that
+    does not exist (``p`` is 0 out of regime)."""
+    regime_error = decoherence._first_guard_message(cfg, point.guard,
+                                                    point.wavelengths)
     reasons = constraints._reasons(
-        cpRatio, magRatio, spec.cpRatioMax, tauColl,
-        spec.requireTauCollOver, duration,
-        regime_error if guard == decoherence._COLLISIONAL else "")
-    if guard:
-        budgetTauColl = math.nan
+        point.cpRatio, point.magRatio, spec.cpRatioMax, point.collisionalTime,
+        spec.requireTauCollOver, point.duration,
+        regime_error if point.guard == decoherence._COLLISIONAL else "")
+    if point.guard:
         msg = f"decoherence regime: {regime_error}"
         if msg not in reasons:
             reasons.append(msg)
-    if not _exists(dPhiLR, dPhiRL, cpRatio, magRatio, p):
-        numbers = dict(dPhiLR=dPhiLR, dPhiRL=dPhiRL, cpRatio=cpRatio,
-                       magRatio=magRatio, p=p)
+    if not point.exists:
+        numbers = {k: getattr(point, k)
+                   for k in ("dPhiLR", "dPhiRL", "cpRatio", "magRatio", "p")}
         reasons.append("arithmetic: " + ", ".join(
             f"{k} {v:.3g}" for k, v in numbers.items()
             if not _exists(**{**dict.fromkeys(numbers, 0.0), k: v})))
     # positional, in field order: keywords cost more than the rest of a row
-    return SweepRow(params, dPhiLR, dPhiRL, objective, cpRatio, budgetTauColl,
-                    not reasons, "; ".join(reasons))
+    return SweepRow(params, point.dPhiLR, point.dPhiRL, objective,
+                    point.cpRatio, point.tauColl, not reasons,
+                    "; ".join(reasons))
 
 
-def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
-    """The stage `run_sweep` and `maximize` share.  ``grid`` holds each
-    point's overrides in row-major order, ``invalid`` the (grid index,
-    ConfigError message) of the points `validate` rejects, ``valid`` the
-    (grid index, validated configuration) of the others; then come the
-    columns of their `_point`, computed as arrays in one call, the dephased
-    ``cxz`` and ``cyz``, and ``feasible``: the points with no regime guard
-    whose numbers exist and pass `constraints._failing`."""
+def _grid_points(spec: SweepSpec, base: ExperimentConfig):
+    """The stage `run_sweep` and `maximize` share: each point's overrides
+    in row-major order; the (grid index, ConfigError message) of the points
+    `validate` rejects and the (grid index, validated configuration) of
+    the others; their `_Point`, computed on the axes and gathered; and the
+    mask of those feasible: in regime, numbers that exist, none failing."""
     names = [axis.name for axis in spec.axes]
     values = [axis.values() for axis in spec.axes]
     fields = vars(base)
@@ -353,103 +376,81 @@ def _grid_points(spec: SweepSpec, base: ExperimentConfig) -> SimpleNamespace:
         except ConfigError as err:  # kept, its traceback would hold this frame
             invalid.append((i, str(err)))
 
-    index = np.array([i for i, _ in valid], dtype=np.intp)
-    # an invalid base may divide by zero: no valid point, empty columns
-    shared = fields if valid else dict.fromkeys(fields, np.empty(0))
-    batch = SimpleNamespace(**{**shared, **{
-        name: column.ravel()[index] for name, column in
-        zip(names, np.meshgrid(*values, indexing="ij"))}})
-    if base.dx is None and "dx" not in names:
-        batch.dx = np.array([cfg.dx for _, cfg in valid], dtype=float)
+    mask = np.ones([len(v) for v in values], dtype=bool)
+    mask.flat[[i for i, _ in invalid]] = False
+    if valid:
+        # each axis along its own dimension, so a power runs once a value
+        batch = {**fields, **dict(zip(names, np.ix_(*values)))}
+        if base.dx is None and "dx" not in names:
+            # each point's kinematic dx from `validate`: numpy's is not libm's
+            batch["dx"] = np.full(mask.shape, math.nan)
+            batch["dx"][mask] = [cfg.dx for _, cfg in valid]
+    else:   # an invalid base may divide by zero: no valid point, empty columns
+        mask, batch = mask.ravel()[:0], dict.fromkeys(fields, np.empty(0))
+    # the invalid points are computed too, then dropped
     with np.errstate(all="ignore"):
-        point = _point(batch, ARRAY_OPS)
-        lam_gas, lam_env, lam_int = point.wavelengths
-        points = SimpleNamespace(grid=grid, invalid=invalid, valid=valid, **{
-            name: np.broadcast_to(x, (len(valid),)) for name, x in dict(
-                dPhiLR=point.phases.dPhiLR, dPhiRL=point.phases.dPhiRL,
-                cpRatio=point.cpRatio, magRatio=point.magRatio,
-                guard=point.guard, lamGas=lam_gas, lamEnv=lam_env,
-                lamInt=lam_int, tauColl=point.tauColl,
-                duration=point.duration, budgetTauColl=point.budget.tauColl,
-                p=point.p, exists=point.exists).items()})
-        points.cxz, points.cyz = spinstate.dephased_correlators(
-            points.dPhiLR, points.dPhiRL, points.p)
+        point = _point(SimpleNamespace(**batch), ARRAY_OPS).apply(
+            lambda x: np.broadcast_to(x, mask.shape)[mask])
         cp, mag, coll = constraints._failing(
-            points.cpRatio, points.magRatio, spec.cpRatioMax, points.tauColl,
-            spec.requireTauCollOver, points.duration)
-    points.feasible = points.exists & ~((points.guard != 0) | cp | mag | coll)
-    return points
+            point.cpRatio, point.magRatio, spec.cpRatioMax,
+            point.collisionalTime, spec.requireTauCollOver, point.duration)
+    return (grid, invalid, valid, point,
+            point.exists & ~((point.guard != 0) | cp | mag | coll))
 
 
-def _objectives(spec: SweepSpec, points: SimpleNamespace,
-                index) -> list[float]:
-    """The objective at the `_grid_points` entries ``index``, in regime
-    with numbers that exist, each equal to `_evaluate_point`'s.  The
+def _objectives(spec: SweepSpec, point: _Point, index) -> list[float]:
+    """The objective at the entries ``index`` of a grid's `_Point`, in
+    regime with numbers that exist, each equal to `_evaluate_point`'s.  The
     negativity objective builds both density matrices as stacks and checks
     each as `entangled_state` and `apply_dephasing` would."""
-    correlators = zip(points.cxz[index].tolist(), points.cyz[index].tolist())
-    if spec.objective == "negativity":
-        with np.errstate(all="ignore"):
-            pure = spinstate._pure_rho(points.dPhiLR[index],
-                                       points.dPhiRL[index])
-            p = points.p[index]
+    lr, rl, p = point.dPhiLR[index], point.dPhiRL[index], point.p[index]
+    with np.errstate(all="ignore"):
+        cxz, cyz = spinstate.dephased_correlators(lr, rl, p)
+        if spec.objective == "negativity":
+            pure = spinstate._pure_rho(lr, rl)
             dephased = pure * spinstate._dephasing_factors(p, p)
 
     def dephased_state(k: int) -> spinstate.TwoQubitState:
         spinstate.TwoQubitState(pure[k])        # as `entangled_state` checks it
         return spinstate.TwoQubitState(dephased[k])
 
-    return [_objective_value(spec.objective, cxz, cyz,
-                             lambda: dephased_state(k))
-            for k, (cxz, cyz) in enumerate(correlators)]
+    return [_objective_value(spec.objective, x, y, lambda: dephased_state(k))
+            for k, (x, y) in enumerate(zip(cxz.tolist(), cyz.tolist()))]
 
 
-def _best_row(points: SimpleNamespace, feasible: np.ndarray,
-              values: list[float]) -> SweepRow | None:
-    """`maximize`'s start row: the first of the feasible `_grid_points`
-    entries ``feasible`` (ascending) with the largest of their objectives
-    ``values``, with a params dict of its own; None when there is none."""
-    if not feasible.size:
+def _best_row(grid: list[dict], valid: list, point: _Point,
+              feasible: np.ndarray, objectives) -> SweepRow | None:
+    """`maximize`'s start row: the first ``feasible`` entry of a grid's
+    `_Point` with the largest of the ``objectives`` (by entry), with a
+    params dict of its own; None when there is none."""
+    index = np.flatnonzero(feasible).tolist()
+    if not index:
         return None
-    k = int(np.argmax(values))
-    best = feasible[k]
-    return SweepRow(dict(points.grid[points.valid[best][0]]),
-                    points.dPhiLR[best].item(), points.dPhiRL[best].item(),
-                    values[k], points.cpRatio[best].item(),
-                    points.budgetTauColl[best].item(), True, "")
+    j = max(index, key=objectives.__getitem__)
+    return _feasible_row(dict(grid[valid[j][0]]),
+                      point.apply(lambda x: x[j].item()), objectives[j])
 
 
 def _grid_rows(spec: SweepSpec, base: ExperimentConfig
                ) -> tuple[list[SweepRow], SweepRow | None]:
-    """`_evaluate_point` at every grid point, built from `_grid_points`'s
-    columns, and the `_best_row` of their objectives."""
-    points = _grid_points(spec, base)
-    grid = points.grid
+    """`_evaluate_point` at every grid point, built from the columns of
+    `_grid_points`'s `_Point` as lists, and the `_best_row` of their
+    objectives."""
+    grid, invalid, valid, point, feasible = _grid_points(spec, base)
     rows: list[SweepRow | None] = [None] * len(grid)
-    for i, error in points.invalid:
+    for i, error in invalid:
         rows[i] = _invalid_row(grid[i], error)
-    index = np.flatnonzero(points.exists & (points.guard == 0)).tolist()
-    objectives = dict(zip(index, _objectives(spec, points, index)))
-    feasible = np.flatnonzero(points.feasible)
-    start = _best_row(points, feasible,
-                      [objectives[j] for j in feasible.tolist()])
-
-    columns = zip(points.valid, *(x.tolist() for x in (
-        points.dPhiLR, points.dPhiRL, points.cpRatio, points.magRatio,
-        points.tauColl, points.duration, points.budgetTauColl, points.p,
-        points.feasible, points.guard, points.lamGas, points.lamEnv,
-        points.lamInt)))
-    for j, ((i, cfg), dphi_lr, dphi_rl, cp_ratio, mag_ratio, tau_coll,
-            duration, budget_tau_coll, p, feasible, guard,
-            *wavelengths) in enumerate(columns):
-        obj = objectives.get(j, math.nan)
-        if feasible:
-            rows[i] = SweepRow(grid[i], dphi_lr, dphi_rl, obj, cp_ratio,
-                               budget_tau_coll, True, "")
-        else:
-            rows[i] = _row(spec, grid[i], cfg, dphi_lr, dphi_rl, cp_ratio,
-                           mag_ratio, tau_coll, duration, guard, wavelengths,
-                           budget_tau_coll, p, obj)
+    objectives = [math.nan] * len(valid)
+    known = np.flatnonzero(point.exists & (point.guard == 0)).tolist()
+    for j, value in zip(known, _objectives(spec, point, known)):
+        objectives[j] = value
+    start = _best_row(grid, valid, point, feasible, objectives)
+    scalars = map(_Point, *[zip(*x) if isinstance(x, tuple) else x
+                            for x in point.apply(np.ndarray.tolist)])
+    for (i, cfg), ok, value, scalar in zip(valid, feasible.tolist(),
+                                           objectives, scalars):
+        rows[i] = (_feasible_row(grid[i], scalar, value) if ok
+                   else _row(spec, grid[i], cfg, scalar, value))
     return rows, start
 
 
@@ -463,12 +464,12 @@ _last_sweep = (None, None, None)
 
 def _start_row(spec: SweepSpec, base: ExperimentConfig) -> SweepRow:
     """The `_best_row` of a fresh `_grid_points` scan, which builds no
-    other row: the first `run_sweep` row with the largest objective among
-    the feasible rows (all finite).  ValueError when there is none.
-    `maximize` calls it unless `run_sweep` last ran on the same objects."""
-    points = _grid_points(spec, base)
-    feasible = np.flatnonzero(points.feasible)
-    row = _best_row(points, feasible, _objectives(spec, points, feasible))
+    other row; ValueError when there is none.  `maximize` calls it unless
+    `run_sweep` last ran on the same objects."""
+    grid, _, valid, point, feasible = _grid_points(spec, base)
+    index = np.flatnonzero(feasible).tolist()
+    row = _best_row(grid, valid, point, feasible,
+                    dict(zip(index, _objectives(spec, point, index))))
     if row is None:
         raise ValueError(_NO_START)
     return row
@@ -499,9 +500,7 @@ def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
         trial = {**params, axis.name: from_x(x)}
         value, point = _evaluate_point(base, spec, trial, True)
         if value > best.objective:      # feasible: a row without reasons
-            best = SweepRow(trial, point.phases.dPhiLR, point.phases.dPhiRL,
-                            value, point.cpRatio, point.budget.tauColl, True,
-                            "")
+            best = _feasible_row(trial, point, value)
         return value
 
     a, b = to_x(axis.min), to_x(axis.max)
@@ -524,12 +523,10 @@ def maximize(spec: SweepSpec,
              base_config: ExperimentConfig) -> tuple[ExperimentConfig, SweepRow]:
     """Best feasible grid point refined by coordinate descent from
     `_start_row`, or from the start row `run_sweep` kept when it last ran
-    on these same ``spec`` and ``base_config`` objects (``is``): the same
-    row, without a second grid scan.  Each line-search probe is validated
-    once and scored without a row.  Returns the row that set the
-    incumbent, whose objective is >= every feasible grid row, and its
-    validated configuration.  Raises ValueError when no grid point is
-    feasible.  Deterministic for a fixed spec."""
+    on these same ``spec`` and ``base_config`` objects (``is``).  Returns
+    the row that set the incumbent, whose objective is >= every feasible
+    grid row, and its validated configuration; ValueError when no grid
+    point is feasible.  Deterministic for a fixed spec."""
     # a line search through the row it last returned would return it again
     searched = {}       # axis name -> the row its last line search returned
     last_spec, last_base, best = _last_sweep

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -433,6 +434,52 @@ def test_only_the_final_config_is_warned_about(tmp_path, capsys):
     assert json.loads(out)["warnings"] == []
     code, out, _ = run_cli(capsys, "defaults")
     assert "warnings" not in json.loads(out)
+
+
+@pytest.fixture
+def kinematic_config(tmp_path):
+    """A config file whose dx is null: the split follows tauAcc."""
+    path = tmp_path / "kinematic.json"
+    path.write_text(json.dumps({"dx": None}))
+    return str(path)
+
+
+def test_set_keeps_a_null_dx_kinematic(capsys, kinematic_config):
+    code, out, _ = run_cli(capsys, "phases", "--config", kinematic_config,
+                           "--set", "tauAcc=0.3")
+    assert code == 0
+    cfg = validate(dataclasses.replace(paper_defaults(), dx=None,
+                                       tauAcc=0.3))
+    assert cfg.dx == pytest.approx(83.56e-6, rel=1e-4)
+    lr = json.loads(out)["separations"]["LR"]
+    assert lr == pytest.approx(cfg.d + cfg.dx, rel=1e-15)
+    assert lr == 0.0005335628823388486
+
+
+def test_set_on_a_null_dx_reports_no_explicit_dx(capsys, kinematic_config):
+    code, out, _ = run_cli(capsys, "constraints", "--config",
+                           kinematic_config, "--set", "tauAcc=0.3")
+    assert code == 0
+    assert json.loads(out)["warnings"] == []
+
+
+def test_sweep_of_a_null_dx_derives_dx_at_each_point(capsys,
+                                                     kinematic_config):
+    axes = ("--axis", "tauAcc:0.3:0.7:3", "--axis", "tau:0.5:8:2")
+    code, out, _ = run_cli(capsys, "sweep", "--config", kinematic_config,
+                           *axes, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    base = dataclasses.replace(paper_defaults(), dx=None)
+    spec = SweepSpec(axes=(SweepAxis("tauAcc", 0.3, 0.7, 3),
+                           SweepAxis("tau", 0.5, 8.0, 2)))
+    assert [r["reason"] for r in rows] == \
+        [r.reason for r in run_sweep(spec, base).rows]
+    assert [r["tauAcc"] for r in rows
+            if r["reason"].startswith("invalid config: dx < d")] == [0.7, 0.7]
+    # the split, and with it the phases, follows tauAcc
+    assert len({r["dPhiLR"] for r in rows if r["feasible"]
+                and r["tau"] == 0.5}) == 2
 
 
 def test_other_warnings_are_not_configuration_notes(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gravwitness import constraints, decoherence, sweep
 from gravwitness.constraints import feasibility_report
-from gravwitness.core import (ARRAY_OPS, FLOAT_OPS, NAN_OPS,
+from gravwitness.core import (ARRAY_OPS, NAN_OPS,
                               ConfigConsistencyWarning, ConfigError,
                               ExperimentConfig, RegimeError, load_config,
                               paper_defaults, validate)
@@ -629,11 +629,12 @@ def test_start_row_is_the_best_sweep_row_where_a_shared_number_fails(
 def test_maximize_builds_one_row_from_its_start_grid(paper_config,
                                                      monkeypatch):
     # the start grid is scanned as arrays: one row, and no scalar budget
-    # for the messages of the regime rows it passes over
+    # (the scalar pipeline's, with NAN_OPS) outside the line searches, for
+    # the messages of the regime rows it passes over
     spec = SweepSpec(axes=_DENSE_AXES, objective="witnessOptimized")
     assert any("decoherence regime" in r.reason
                for r in run_sweep(spec, paper_config).rows)
-    counts = {"rows": 0, "evaluations": 0, "grid budgets": 0}
+    counts = {"rows": 0, "evaluations": 0, "scalar budgets": 0}
     searching = []
 
     def row(*args, **kwargs):
@@ -642,26 +643,33 @@ def test_maximize_builds_one_row_from_its_start_grid(paper_config,
 
     def evaluate_point(*args):
         counts["evaluations"] += 1
+        return _evaluate_point(*args)
+
+    def line_search(*args):
         searching.append(True)
         try:
-            return _evaluate_point(*args)
+            return _line_search(*args)
         finally:
             searching.pop()
 
     scalar_budget = decoherence._budget
 
     def budget(cfg, ops):
-        counts["grid budgets"] += ops is FLOAT_OPS and not searching
+        counts["scalar budgets"] += ops is NAN_OPS and not searching
         return scalar_budget(cfg, ops)
 
     monkeypatch.setattr(sweep, "SweepRow", row)
     monkeypatch.setattr(sweep, "_evaluate_point", evaluate_point)
+    monkeypatch.setattr(sweep, "_line_search", line_search)
     monkeypatch.setattr(decoherence, "_budget", budget)
     # an equal spec, not the swept one: maximize scans its own grid
     maximize(dataclasses.replace(spec), paper_config)
     assert counts["evaluations"] > 0
     assert counts["rows"] <= 1 + counts["evaluations"]
-    assert counts["grid budgets"] == 0
+    assert counts["scalar budgets"] == 0
+    # the counter sees a scalar row's budget
+    _evaluate_point(paper_config, spec, {})
+    assert counts["scalar budgets"] == 1
 
 
 @given(spec=grids(max_count=3), kinematic=st.booleans())
@@ -804,7 +812,8 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
     rates = {f.name: column(getattr(rates, f.name))
              for f in dataclasses.fields(rates)}
     exists = column(point.exists)
-    phases = [column(x) for x in (point.phases.dPhiLR, point.phases.dPhiRL)]
+    phases = [column(x) for x in (point.dPhiLR, point.dPhiRL)]
+    times = [column(x) for x in (point.tauColl, point.collisionalTime)]
 
     for j, cfg in enumerate(points):
         # the scalar cores with NAN_OPS, guard numbers included, at every
@@ -818,6 +827,9 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
             repr((budget[0], budget[1], list(budget[2])))
         assert {k: repr(v[j]) for k, v in rates.items()} == \
             {k: repr(getattr(budget[3], k)) for k in rates}
+        # the row's tauColl, the budget's, and the one the check compares
+        assert repr([x[j] for x in times]) == repr(
+            [math.nan if guard[j] else budget[3].tauColl, budget[1]])
         fired = collisions[0][j]
         assert fired == (guard[j] == decoherence._COLLISIONAL)
         want_phases = static_phases(cfg)
@@ -869,8 +881,8 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
 @pytest.fixture
 def scalar_calls(monkeypatch):
     """Calls of the scalar feasibility_report, and of the scalar budget:
-    `decoherence._budget` with FLOAT_OPS, which dephasing_budget, evaluate
-    and the sweep's scalar pipeline all reach."""
+    `decoherence._budget` with NAN_OPS, which `evaluate` and the sweep's
+    scalar pipeline reach."""
     calls = {"feasibility_report": 0, "budget": 0}
     report, budget = feasibility_report, decoherence._budget
 
@@ -879,7 +891,7 @@ def scalar_calls(monkeypatch):
         return report(*args, **kwargs)
 
     def counting_budget(config, ops):
-        calls["budget"] += ops is FLOAT_OPS
+        calls["budget"] += ops is NAN_OPS
         return budget(config, ops)
     monkeypatch.setattr(constraints, "feasibility_report", counting_report)
     monkeypatch.setattr(sweep, "feasibility_report", counting_report)
@@ -894,6 +906,9 @@ def test_witness_grid_calls_no_scalar_report(paper_config, scalar_calls):
     assert scalar_calls["feasibility_report"] == 0
     # a regime row formats its guard's message from the batch's numbers
     assert scalar_calls["budget"] == 0
+    # the counters see the scalar pipeline
+    evaluate(paper_config)
+    assert scalar_calls == {"feasibility_report": 1, "budget": 1}
 
 
 @pytest.fixture
