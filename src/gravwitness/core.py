@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from math import inf
 from typing import Callable
 
 import numpy as np
@@ -116,12 +117,13 @@ def _finite_number(value) -> bool:
         return False
 
 
-# Each numeric field's range: (lower bound, whether the field may equal it);
-# every one must also be a finite number.  chiM is bounded by that alone.
-_BOUNDS = {name: (0.0, False) for name in (
+# Each numeric field's range: (name, lower bound, whether the field may
+# equal it); every one must also be a finite number.  chiM is bounded by
+# that alone.
+_BOUNDS = (*((name, 0.0, False) for name in (
     "m1", "m2", "d", "tau", "tauAcc", "dBdx", "radius", "pressure", "tEnv",
-    "mGas")}
-_BOUNDS.update(tInt=(0.0, True), chiM=(-math.inf, False), epsRel=(1.0, False))
+    "mGas")),
+    ("tInt", 0.0, True), ("chiM", -inf, False), ("epsRel", 1.0, False))
 # the bounds reported after every finiteness problem, in this order
 _LAST_BOUNDS = ("epsRel", "tInt")
 
@@ -136,10 +138,10 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     ``validate(validate(c)) == validate(c)``.
     """
     problems = None     # made at the first field that is not a plain float
-    for name, (lower, closed) in _BOUNDS.items():
+    for name, lower, closed in _BOUNDS:
         value = getattr(config, name)
         # a plain float in range passes one chained test
-        if (type(value) is float and value < math.inf
+        if (type(value) is float and value < inf
                 and (lower <= value if closed else lower < value)):
             continue
         if problems is None:
@@ -177,6 +179,16 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
             f"d - dx > 2*radius violated: closest approach {config.d - dx!r} m "
             f"with radius {config.radius!r} m")
     return config if dx is config.dx else dataclasses.replace(config, dx=dx)
+
+
+def _frozen(cls, values: dict):
+    """The frozen dataclass ``cls`` with the fields ``values`` (a dict in
+    field order) without its ``__init__``, whose cost shows in a sweep.
+    Sound for classes with no ``__post_init__``, slots or init-only
+    fields; a test holds each caller's class to that."""
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", values)
+    return record
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

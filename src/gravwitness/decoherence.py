@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CONSTANTS, FLOAT_OPS, ExperimentConfig, Ops, RegimeError
+from .core import (CONSTANTS, FLOAT_OPS, ExperimentConfig, Ops, RegimeError,
+                   _frozen)
 
 # Long-wavelength localization coefficients for a dielectric sphere
 # (Joos-Zeh-type photon scattering and blackbody emission/absorption; see
@@ -178,9 +179,11 @@ def _budget(config: ExperimentConfig, ops: Ops):
     total_rate = gamma_coll + g_sc + g_em + g_abs
     # 1 - e^{-Gamma T} without cancelling where Gamma T is small
     p = -ops.expm1(-total_rate * experiment_duration(config))
-    # in field order; passing six keywords costs more than the formulas
-    rates = DecoherenceRates(gamma_coll, g_sc, g_em, g_abs,
-                             ops.divide(1.0, gamma_coll), p)
+    # without __init__, which costs more than the formulas
+    rates = _frozen(DecoherenceRates, {
+        "gammaColl": gamma_coll, "gammaSc": g_sc, "gammaEm": g_em,
+        "gammaAbs": g_abs, "tauColl": ops.divide(1.0, gamma_coll),
+        "totalDephasing": p})
     guard = ops.where(coll_fired, _COLLISIONAL, ops.where(
         env[0], _PHOTON_ENV, ops.where(internal[0], _PHOTON_INT, 0)))
     return guard, tau_coll, (lam_gas, env[1], internal[1]), rates

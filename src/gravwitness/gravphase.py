@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTANTS, ExperimentConfig, RegimeError
+from .core import CONSTANTS, ExperimentConfig, RegimeError, _frozen
 
 BRANCHES = ("LL", "LR", "RL", "RR")
 
@@ -35,9 +35,10 @@ class PhaseSet:
 
     @classmethod
     def from_branch_phases(cls, phiLL, phiLR, phiRL, phiRR) -> "PhaseSet":
-        # in field order; passing seven keywords costs more than the formulas
-        return cls(phiLL, phiRR, phiLR, phiRL, phiLR - phiLL, phiRL - phiLL,
-                   phiLL)
+        # without __init__, which costs more than the formulas
+        return _frozen(cls, {"phiLL": phiLL, "phiRR": phiRR, "phiLR": phiLR,
+                             "phiRL": phiRL, "dPhiLR": phiLR - phiLL,
+                             "dPhiRL": phiRL - phiLL, "phiRef": phiLL})
 
 
 def _positions(d, dx):

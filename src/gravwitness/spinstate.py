@@ -142,28 +142,14 @@ def witness(state: TwoQubitState, settings: WitnessSettings | None = None) -> Wi
     of the unrotated state, reported alongside, is the exact criterion.
     """
     settings = WitnessSettings() if settings is None else settings
-    w, exz, eyz = _rotated_w(settings.thetaZ1, expectation(state, "X", "Z"),
-                             expectation(state, "Y", "Z"))
-    neg = negativity(state)
-    return WitnessResult(w=w, expXZ=exz, expYZ=eyz, negativity=neg,
-                         entangledByNegativity=neg > 1e-9)
-
-
-def _rotated_w(theta1: float, cxz: float, cyz: float) -> tuple[float, float, float]:
-    """W, <XZ> and <YZ> after the rotation Rz(theta1) of qubit 1, from the
-    unrotated <XZ> and <YZ>."""
+    cxz, cyz = expectation(state, "X", "Z"), expectation(state, "Y", "Z")
     # Conjugating sigma_x by Rz(t) gives cos(t) sx - sin(t) sy, and sigma_y
     # gives cos(t) sy + sin(t) sx; sigma_z on qubit 2 commutes with Rz(thetaZ2).
-    c, s = math.cos(theta1), math.sin(theta1)
-    exz = c * cxz - s * cyz
-    eyz = c * cyz + s * cxz
-    return abs(exz - eyz), exz, eyz
-
-
-def _optimal_theta(cxz: float, cyz: float) -> float:
-    """The thetaZ1 that maximizes W; see `optimize_witness`."""
-    # + 0.0 turns the -0.0 of atan2(-0.0, 0.0) into 0.0 for W = 0 states
-    return math.atan2(-(cxz + cyz), cxz - cyz) + 0.0
+    c, s = math.cos(settings.thetaZ1), math.sin(settings.thetaZ1)
+    exz, eyz = c * cxz - s * cyz, c * cyz + s * cxz
+    neg = negativity(state)
+    return WitnessResult(w=abs(exz - eyz), expXZ=exz, expYZ=eyz,
+                         negativity=neg, entangledByNegativity=neg > 1e-9)
 
 
 def optimize_witness(state: TwoQubitState) -> tuple[WitnessSettings, WitnessResult]:
@@ -174,8 +160,9 @@ def optimize_witness(state: TwoQubitState) -> tuple[WitnessSettings, WitnessResu
     theta1 = atan2(-B, A).  theta2 is degenerate and returned as 0.  The
     returned W is >= the W of any angles, up to rounding.
     """
-    settings = WitnessSettings(thetaZ1=_optimal_theta(
-        expectation(state, "X", "Z"), expectation(state, "Y", "Z")))
+    cxz, cyz = expectation(state, "X", "Z"), expectation(state, "Y", "Z")
+    # + 0.0 turns the -0.0 of atan2(-0.0, 0.0) into 0.0 for W = 0 states
+    settings = WitnessSettings(math.atan2(-(cxz + cyz), cxz - cyz) + 0.0)
     return settings, witness(state, settings)
 
 

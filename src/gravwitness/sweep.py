@@ -2,10 +2,12 @@
 
 Grid sweeps validate each point on its own, then compute the phases,
 feasibility, decoherence budget and objective as arrays, on the axes, by
-the numpy-generic cores the scalar functions call.  The witness
-objectives read the closed-form dephased <XZ>, <YZ>; the negativity
-objective builds and checks both spin states.  `run_sweep` builds a row at
-every grid point, in row-major axis order.  `maximize` scans the same
+the numpy-generic cores the scalar functions call.  The witness objective
+reads the closed-form dephased <XZ>, <YZ>; the optimized witness is its
+closed-form maximum sqrt(2) (1 - 2p) |sin((dPhiLR + dPhiRL)/2)|, one
+numpy expression on a grid's arrays and on a probe's floats; the
+negativity objective builds and checks both spin states.  `run_sweep`
+builds a row at every grid point, in row-major axis order.  `maximize` scans the same
 arrays for the best feasible point, builds that one row, and refines it by
 a deterministic coordinate descent with golden-section line searches.
 `run_sweep` keeps the start row of its grid, so a `maximize` on the same
@@ -16,8 +18,10 @@ One function, `_point`, computes a point's numbers into a `_Point`: with
 `NAN_OPS` for one configuration, with `ARRAY_OPS` for a grid, so every
 grid row equals its scalar row bit for bit.  Its decoherence guards report
 which one fired instead of raising.  `_row` builds a valid row from a
-scalar record, `_feasible_row` one with no reason.  `to_csv` and the CLI
-write rows by one `_row_dict` and `_text`; `validate` issues no warning.
+scalar record, `_feasible_row` one with no reason; rows and point
+configurations are `core._frozen`, without their keyword ``__init__``.
+`to_csv` and the CLI write rows by one `_row_dict` and `_text`;
+`validate` issues no warning.
 """
 
 from __future__ import annotations
@@ -30,20 +34,20 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
-from typing import Callable
 
 import numpy as np
 
 from . import constraints, decoherence, spinstate
 from .constraints import ConstraintReport, feasibility_report
 from .core import (ARRAY_OPS, NAN_OPS, ConfigError, ExperimentConfig,
-                   FIELD_NAMES, validate)
+                   FIELD_NAMES, _frozen, validate)
 from .decoherence import DecoherenceRates
 from .gravphase import PhaseSet, static_phases
 
 OBJECTIVES = ("negativity", "witness", "witnessOptimized")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT2 = math.sqrt(2.0)
 _ROUNDS, _LINE_ITERATIONS = 3, 40     # maximize: descent rounds, steps per axis
 
 
@@ -118,6 +122,16 @@ class SweepRow:
     reason: str = ""
 
 
+def _new_row(params, dPhiLR, dPhiRL, objective, cpRatio, tauColl, feasible,
+             reason) -> SweepRow:
+    """``SweepRow(...)`` of these fields, by `_frozen`: every row the sweep
+    builds goes through here."""
+    return _frozen(SweepRow, {
+        "params": params, "dPhiLR": dPhiLR, "dPhiRL": dPhiRL,
+        "objective": objective, "cpRatio": cpRatio, "tauColl": tauColl,
+        "feasible": feasible, "reason": reason})
+
+
 def _row_dict(row: SweepRow) -> dict:
     """A row's columns before its reason, as CSV, tables and JSON show them."""
     return {**row.params, "dPhiLR": row.dPhiLR, "dPhiRL": row.dPhiRL,
@@ -159,15 +173,23 @@ class SweepResult:
                      for row in self.rows))
 
 
-def _objective_value(objective: str, cxz: float, cyz: float,
-                     dephased: Callable[[], spinstate.TwoQubitState]) -> float:
-    """The sweep objective of a dephased state with unrotated <XZ>, <YZ>.
-    ``dephased`` builds that state; only the negativity objective calls it."""
-    if objective == "negativity":
-        return spinstate.negativity(dephased())
-    theta = (spinstate._optimal_theta(cxz, cyz)
-             if objective == "witnessOptimized" else 0.0)
-    return spinstate._rotated_w(theta, cxz, cyz)[0]
+def _witness_objective(objective: str, dPhiLR, dPhiRL, p):
+    """A witness objective of `evaluate`'s dephased state, from its phases
+    and flip probability p; numbers and arrays give the same bits.
+    "witness" is W at zero angles, |<XZ> - <YZ>|; "witnessOptimized" is
+    `optimize_witness`'s sqrt(A^2 + B^2) = sqrt(2) (1 - 2p) |sin S|, S =
+    (dPhiLR + dPhiRL)/2.  S is the exact sum s + e of the halved phases,
+    so neither an overflow nor a rounding of ulp(s) rad moves the sine:
+    sin(s + e) = sin s cos e + cos s sin e, which is sin s where e = 0."""
+    if objective == "witness":
+        cxz, cyz = spinstate.dephased_correlators(dPhiLR, dPhiRL, p)
+        return abs(cxz - cyz)
+    half_lr, half_rl = dPhiLR * 0.5, dPhiRL * 0.5
+    s = half_lr + half_rl
+    t = s - half_lr
+    e = (half_lr - (s - t)) + (half_rl - t)
+    return _SQRT2 * (1.0 - 2.0 * p) * abs(
+        np.sin(s) * np.cos(e) + np.cos(s) * np.sin(e))
 
 
 def _flip_probability(budget: DecoherenceRates) -> float:
@@ -224,14 +246,8 @@ def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
 
 def _config(fields: dict, overrides: dict) -> ExperimentConfig:
     """``dataclasses.replace(base, **overrides)`` for ``fields = vars(base)``,
-    without the field scan and keyword ``__init__`` of replace, which show
-    in a sweep's time.  ExperimentConfig has no ``__post_init__``, slots or
-    init-only fields that this skips; a test holds it to that."""
-    values = fields.copy()
-    values.update(overrides)
-    config = object.__new__(ExperimentConfig)
-    object.__setattr__(config, "__dict__", values)
-    return config
+    by `_frozen`: without replace's field scan and keyword ``__init__``."""
+    return _frozen(ExperimentConfig, fields | overrides)
 
 
 @dataclass(slots=True)  # slots, positional __init__: each probe builds one
@@ -289,9 +305,10 @@ def _exists(dPhiLR, dPhiRL, cpRatio, magRatio, p):
 def _scalar_objective(objective: str, point: _Point) -> float:
     """The objective of `evaluate`'s dephased state at a scalar `_Point`."""
     lr, rl, p = point.dPhiLR, point.dPhiRL, point.p
-    cxz, cyz = spinstate.dephased_correlators(lr, rl, p)
-    return _objective_value(objective, float(cxz), float(cyz), lambda: (
-        spinstate.apply_dephasing(spinstate.entangled_state(lr, rl), p, p)))
+    if objective == "negativity":
+        return spinstate.negativity(spinstate.apply_dephasing(
+            spinstate.entangled_state(lr, rl), p, p))
+    return float(_witness_objective(objective, lr, rl, p))
 
 
 def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
@@ -320,13 +337,13 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
 
 def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
     """The row of a configuration `validate` rejects with ``error``."""
-    return SweepRow(params, *[math.nan] * 5, False, f"invalid config: {error}")
+    return _new_row(params, *[math.nan] * 5, False, f"invalid config: {error}")
 
 
 def _feasible_row(params: dict[str, float], point: _Point,
                   objective: float) -> SweepRow:
     """The row of a feasible point's scalar `_Point`."""
-    return SweepRow(params, point.dPhiLR, point.dPhiRL, objective,
+    return _new_row(params, point.dPhiLR, point.dPhiRL, objective,
                     point.cpRatio, point.tauColl, True, "")
 
 
@@ -352,8 +369,7 @@ def _row(spec: SweepSpec, params: dict[str, float], cfg: ExperimentConfig,
         reasons.append("arithmetic: " + ", ".join(
             f"{k} {v:.3g}" for k, v in numbers.items()
             if not _exists(**{**dict.fromkeys(numbers, 0.0), k: v})))
-    # positional, in field order: keywords cost more than the rest of a row
-    return SweepRow(params, point.dPhiLR, point.dPhiRL, objective,
+    return _new_row(params, point.dPhiLR, point.dPhiRL, objective,
                     point.cpRatio, point.tauColl, not reasons,
                     "; ".join(reasons))
 
@@ -401,21 +417,20 @@ def _grid_points(spec: SweepSpec, base: ExperimentConfig):
 def _objectives(spec: SweepSpec, point: _Point, index) -> list[float]:
     """The objective at the entries ``index`` of a grid's `_Point`, in
     regime with numbers that exist, each equal to `_evaluate_point`'s.  The
+    witness objectives are one `_witness_objective` on the arrays; the
     negativity objective builds both density matrices as stacks and checks
     each as `entangled_state` and `apply_dephasing` would."""
     lr, rl, p = point.dPhiLR[index], point.dPhiRL[index], point.p[index]
     with np.errstate(all="ignore"):
-        cxz, cyz = spinstate.dephased_correlators(lr, rl, p)
-        if spec.objective == "negativity":
-            pure = spinstate._pure_rho(lr, rl)
-            dephased = pure * spinstate._dephasing_factors(p, p)
-
-    def dephased_state(k: int) -> spinstate.TwoQubitState:
-        spinstate.TwoQubitState(pure[k])        # as `entangled_state` checks it
-        return spinstate.TwoQubitState(dephased[k])
-
-    return [_objective_value(spec.objective, x, y, lambda: dephased_state(k))
-            for k, (x, y) in enumerate(zip(cxz.tolist(), cyz.tolist()))]
+        if spec.objective != "negativity":
+            return _witness_objective(spec.objective, lr, rl, p).tolist()
+        pure = spinstate._pure_rho(lr, rl)
+        dephased = pure * spinstate._dephasing_factors(p, p)
+    values = []
+    for checked, state in zip(pure, dephased):
+        spinstate.TwoQubitState(checked)    # as `entangled_state` checks it
+        values.append(spinstate.negativity(spinstate.TwoQubitState(state)))
+    return values
 
 
 def _best_row(grid: list[dict], valid: list, point: _Point,

@@ -1,16 +1,20 @@
 """Differential tests of the closed-form kernels against oracles built here:
 explicit local rotations and Kraus sums on 4x4 matrices, a dense angle
-scan, and the Casimir-Polder ratio itself."""
+scan, the Casimir-Polder ratio itself, and the sweep's optimized witness
+against `optimize_witness` and a 50-digit mpmath value."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
+from gravwitness import sweep
 from gravwitness.constraints import cp_ratio, feasibility_report, min_separation
+from gravwitness.core import validate
 from gravwitness.spinstate import (TwoQubitState, WitnessSettings,
                                    apply_dephasing, entangled_state,
                                    optimize_witness, witness)
@@ -109,3 +113,46 @@ def test_min_separation_edges(paper_config):
     assert feasibility_report(paper_config, 1e-30).minSeparation == math.inf
     heavy = dataclasses.replace(paper_config, m1=1e3, m2=1e3)
     assert feasibility_report(heavy).minSeparation == contact
+
+
+# W <= sqrt(2), and the closed form and `optimize_witness` each round a few
+# times: a few ulps of sqrt(2)
+OPTIMIZED_WITNESS_ABS = 2e-15
+phases = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(lr=phases, rl=phases, p=st.floats(0.0, 0.5))
+# phase sums that overflow, and that round by more than a radian
+@example(lr=1.7e308, rl=1.7e308, p=0.0)
+@example(lr=1e17, rl=3.0, p=0.25)
+@example(lr=4.839137052680112e16, rl=-1.8238932012336685e50, p=0.0)
+@settings(max_examples=300, deadline=None)
+def test_optimized_witness_is_optimize_witness(lr, rl, p):
+    want = optimize_witness(apply_dephasing(entangled_state(lr, rl), p, p))[1].w
+    got = float(sweep._witness_objective("witnessOptimized", lr, rl, p))
+    assert abs(got - want) <= OPTIMIZED_WITNESS_ABS
+    # a grid's arrays give the same bits
+    assert sweep._witness_objective(
+        "witnessOptimized", np.array([lr]), np.array([rl]),
+        np.array([p])).tolist() == [got]
+
+
+# at the row's own float phases and p, rounding alone: sin, the products
+# and the constants, each within an ulp.  The correlator form (the atan2
+# angle of <XZ>, <YZ>, then |A cos t - B sin t|) is off by 1.1e-17,
+# 2.5e-15 and 3.4e-13 at these points: at small splits both
+# sin dPhiLR + sin dPhiRL and cos dPhiRL - cos dPhiLR cancel
+OPTIMIZED_WITNESS_REL = 1e-15
+
+
+@pytest.mark.parametrize("dx", [None, 10e-6, 100e-9])
+def test_optimized_witness_against_mpmath(paper_config, dx):
+    config = validate(paper_config if dx is None
+                      else dataclasses.replace(paper_config, dx=dx))
+    point = sweep._point(config)
+    assert not point.guard and point.exists
+    got = sweep._scalar_objective("witnessOptimized", point)
+    with mp.workdps(50):
+        lr, rl, p = map(mpf, (point.dPhiLR, point.dPhiRL, point.p))
+        want = mp.sqrt(2) * (1 - 2 * p) * abs(mp.sin((lr + rl) / 2))
+        assert abs(got - want) <= OPTIMIZED_WITNESS_REL * want

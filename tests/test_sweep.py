@@ -17,8 +17,9 @@ from gravwitness.core import (ARRAY_OPS, NAN_OPS,
                               ConfigConsistencyWarning, ConfigError,
                               ExperimentConfig, RegimeError, load_config,
                               paper_defaults, validate)
-from gravwitness.decoherence import collisional_time, dephasing_budget
-from gravwitness.gravphase import static_phases
+from gravwitness.decoherence import (DecoherenceRates, collisional_time,
+                                     dephasing_budget)
+from gravwitness.gravphase import PhaseSet, static_phases
 from gravwitness.spinstate import TwoQubitState, negativity
 from gravwitness.sweep import (OBJECTIVES, SweepAxis, SweepRow, SweepSpec,
                                _evaluate_point, _line_search, evaluate,
@@ -474,18 +475,43 @@ def test_warmer_gas_at_fixed_pressure_decoheres_less(paper_config):
     assert warm.tauColl > cold.tauColl
 
 
+def _hash(record):
+    try:
+        return hash(record)
+    except TypeError as err:        # a SweepRow holds its params dict
+        return repr(err)
+
+
 def test_point_configs_are_what_replace_builds(paper_config):
-    # sweep._config skips the dataclass __init__, which is sound only while
-    # ExperimentConfig's __init__ just stores its fields
-    assert not hasattr(ExperimentConfig, "__post_init__")
-    assert not hasattr(ExperimentConfig, "__slots__")
-    assert all(f.init and f.default is dataclasses.MISSING
-               for f in dataclasses.fields(ExperimentConfig))
+    # core._frozen skips the dataclass __init__, which is sound only while
+    # the __init__ of each class it builds just stores the fields
     overrides = {"tau": 2, "dx": None, "tEnv": 1e-3}
     built = sweep._config(vars(paper_config), overrides)
-    want = dataclasses.replace(paper_config, **overrides)
-    assert built == want and vars(built) == vars(want)
-    assert hash(built) == hash(want)
+    assert built == dataclasses.replace(paper_config, **overrides)
+    spec = SweepSpec(axes=(SweepAxis("tau", 1.0, 2.0, 2),))
+    records = (built, _evaluate_point(paper_config, spec, {"tau": 2.0}),
+               static_phases(paper_config),
+               decoherence._budget(paper_config, NAN_OPS)[3])
+    assert list(map(type, records)) == [ExperimentConfig, SweepRow, PhaseSet,
+                                        DecoherenceRates]
+    for built in records:
+        cls = type(built)
+        fields = dataclasses.fields(cls)
+        assert not hasattr(cls, "__post_init__")
+        assert not hasattr(cls, "__slots__")
+        assert all(f.init for f in fields)
+        want = cls(**{f.name: getattr(built, f.name) for f in fields})
+        assert built == want and vars(built) == vars(want)
+        assert list(vars(built)) == list(vars(want))
+        assert repr(built) == repr(want)
+        assert _hash(built) == _hash(want)
+        assert dataclasses.asdict(built) == dataclasses.asdict(want)
+        name = fields[1].name
+        assert dataclasses.replace(built) == want
+        assert (dataclasses.replace(built, **{name: 7.0})
+                == dataclasses.replace(want, **{name: 7.0}))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, 7.0)
 
 
 def test_sweep_from_a_json_config_with_integer_fields(tmp_path, paper_config):
@@ -634,12 +660,14 @@ def test_maximize_builds_one_row_from_its_start_grid(paper_config,
     spec = SweepSpec(axes=_DENSE_AXES, objective="witnessOptimized")
     assert any("decoherence regime" in r.reason
                for r in run_sweep(spec, paper_config).rows)
-    counts = {"rows": 0, "evaluations": 0, "scalar budgets": 0}
+    counts = {"rows": 0, "start rows": 0, "evaluations": 0,
+              "scalar budgets": 0}
     searching = []
 
-    def row(*args, **kwargs):
+    def new_row(*args):
         counts["rows"] += 1
-        return SweepRow(*args, **kwargs)
+        counts["start rows"] += not searching
+        return new_row_of_sweep(*args)
 
     def evaluate_point(*args):
         counts["evaluations"] += 1
@@ -652,13 +680,14 @@ def test_maximize_builds_one_row_from_its_start_grid(paper_config,
         finally:
             searching.pop()
 
-    scalar_budget = decoherence._budget
+    scalar_budget, new_row_of_sweep = decoherence._budget, sweep._new_row
 
     def budget(cfg, ops):
         counts["scalar budgets"] += ops is NAN_OPS and not searching
         return scalar_budget(cfg, ops)
 
-    monkeypatch.setattr(sweep, "SweepRow", row)
+    # every row the sweep builds goes through _new_row
+    monkeypatch.setattr(sweep, "_new_row", new_row)
     monkeypatch.setattr(sweep, "_evaluate_point", evaluate_point)
     monkeypatch.setattr(sweep, "_line_search", line_search)
     monkeypatch.setattr(decoherence, "_budget", budget)
@@ -666,10 +695,12 @@ def test_maximize_builds_one_row_from_its_start_grid(paper_config,
     maximize(dataclasses.replace(spec), paper_config)
     assert counts["evaluations"] > 0
     assert counts["rows"] <= 1 + counts["evaluations"]
+    assert counts["start rows"] == 1
     assert counts["scalar budgets"] == 0
-    # the counter sees a scalar row's budget
+    # the counters see a scalar row and its budget
+    rows = counts["rows"]
     _evaluate_point(paper_config, spec, {})
-    assert counts["scalar budgets"] == 1
+    assert counts["scalar budgets"] == 1 and counts["rows"] == rows + 1
 
 
 @given(spec=grids(max_count=3), kinematic=st.booleans())
