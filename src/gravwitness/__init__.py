@@ -25,7 +25,8 @@ from .spinstate import (TwoQubitState, WitnessResult, WitnessSettings,
 from .gravfield import (BranchDisplacements, FieldModeSet, branch_displacement_set,
                         branch_overlap, branch_overlaps, branch_phase, build_modes,
                         classicalize, dephase_branch_basis, displacements,
-                        modes_for_separation, newtonian_phase, reduced_mass_state)
+                        mode_sum_ratio, modes_for_separation, newtonian_phase,
+                        reduced_mass_state)
 from .constraints import (ConstraintReport, casimir_polder_potential, cp_ratio,
                           feasibility_report, gravitational_potential,
                           magnetic_interaction_ratio, min_separation)

@@ -205,15 +205,15 @@ def _cmd_field(args, cfg):
         steps.append(n)
         n *= 2
     steps.append(args.n_modes)
+    # the ratio is a property of (nModes, kCutTimesR), the same at every point
     convergence = []
     for n_modes in steps:
-        modes = gravfield.modes_for_separation(separation, nModes=n_modes,
-                                               kCutTimesR=args.k_cut_times_r)
-        phase = gravfield.branch_phase(modes, cfg, separation, t)
-        convergence.append({"nModes": n_modes, "phase": phase,
-                            "newtonian": target, "ratio": phase / target})
+        ratio = gravfield.mode_sum_ratio(n_modes, args.k_cut_times_r)
+        convergence.append({"nModes": n_modes, "phase": target * ratio,
+                            "newtonian": target, "ratio": ratio})
 
-    # the last convergence step is the full --n-modes grid
+    modes = gravfield.modes_for_separation(separation, nModes=args.n_modes,
+                                           kCutTimesR=args.k_cut_times_r)
     branches = gravfield.branch_displacement_set(modes, cfg, t)
     overlaps = gravfield.branch_overlaps(branches)
     quantum = gravfield.reduced_mass_state(branches, overlaps)

@@ -9,6 +9,9 @@ phase collapses to a 1D radial quadrature,
 
 which converges to the Newtonian value G m1 m2 t/(hbar r) as kCut*r -> inf
 (damped closed form: int_0^inf sinc(k r) e^{-k/kCut} dk = arctan(kCut r)/r).
+On the grid `modes_for_separation(r, nModes, kCutTimesR)`, k r is the same
+at every r, so the ratio of the two is a property of (nModes, kCutTimesR)
+alone, the same at every point; `mode_sum_ratio` caches it.
 A single effective polarization channel is used; with the mode measure tied
 to the grid weights (g^2 ~ 1/V cancels against mode counting) the continuum
 normalization constant is exactly 1.
@@ -20,6 +23,7 @@ overlap (which-path) estimate, which is astronomically close to 1 here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -102,20 +106,35 @@ def modes_for_separation(separation: float, nModes: int = 4000,
                        kCutTimesR / separation)
 
 
+def _mode_sums(modes: FieldModeSet, separations, scale: float) -> dict:
+    """scale * sum_k w sinc(k r) e^{-k/kCut} at each of ``separations``,
+    all from one e^{-k/kCut}."""
+    k, w = modes.kGrid, modes.weights
+    damping = np.exp(-k / modes.kCut)
+    return {r: scale * float(np.sum(w * (np.sinc(k * r / np.pi) * damping)))
+            for r in separations}
+
+
+@functools.lru_cache(maxsize=64)
+def mode_sum_ratio(nModes: int, kCutTimesR: float) -> float:
+    """`branch_phase` / `newtonian_phase` on the grid
+    `modes_for_separation(r, nModes, kCutTimesR)` at its own r, for every r,
+    t and mass: that grid is the r = 1 grid over r, up to its rounding.
+    Cached, one float per (nModes, kCutTimesR)."""
+    unit = modes_for_separation(1.0, nModes, kCutTimesR)
+    return _mode_sums(unit, (1.0,), 2.0 / np.pi)[1.0]
+
+
 def _branch_phases(modes: FieldModeSet, config: ExperimentConfig,
                    separations, t: float) -> dict[float, float]:
-    """`branch_phase` at each of ``separations``, all from one e^{-k/kCut}."""
+    """`branch_phase` at each of ``separations``."""
     for separation in separations:
         if separation <= 0:
             raise ValueError(f"separation must be positive, got {separation!r}")
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t!r}")
-    k, w = modes.kGrid, modes.weights
-    damping = np.exp(-k / modes.kCut)
     pref = CONSTANTS.G * config.m1 * config.m2 * t / CONSTANTS.hbar
-    return {r: pref * (2.0 / np.pi) * float(np.sum(
-                w * (np.sinc(k * r / np.pi) * damping)))
-            for r in separations}
+    return _mode_sums(modes, separations, pref * (2.0 / np.pi))
 
 
 def branch_phase(modes: FieldModeSet, config: ExperimentConfig,
@@ -139,16 +158,16 @@ def _branches(modes: FieldModeSet, config: ExperimentConfig, t: float,
     phases = _branch_phases(modes, config,
                             {abs(x2 - x1) for x1, x2 in positions.values()}, t)
     k = modes.kGrid
-    omega = CONSTANTS.c * k
-    # Shell-aggregated coupling: gbar^2 = g^2 V (4 pi k^2 w)/(2 pi)^3 with
-    # g = m c^2 sqrt(2 pi G/(hbar c^3 k V)); the volume cancels.  Half of the
-    # UV damping goes on each coupling so products carry e^{-k/kCut}.
-    shell = np.sqrt(CONSTANTS.G * CONSTANTS.c * k * modes.weights
-                    / (np.pi * CONSTANTS.hbar))
-    damping = np.exp(-k / (2.0 * modes.kCut))
-    c1 = config.m1 * shell * damping / omega
-    c2 = c1 if config.m2 == config.m1 else config.m2 * shell * damping / omega
     with np.errstate(all="ignore"):
+        omega = CONSTANTS.c * k
+        # Shell-aggregated coupling: gbar^2 = g^2 V (4 pi k^2 w)/(2 pi)^3 with
+        # g = m c^2 sqrt(2 pi G/(hbar c^3 k V)); the volume cancels.  Half of
+        # the UV damping goes on each coupling so products carry e^{-k/kCut}.
+        shell = np.sqrt(CONSTANTS.G * CONSTANTS.c * k * modes.weights
+                        / (np.pi * CONSTANTS.hbar))
+        damping = np.exp(-k / (2.0 * modes.kCut))
+        c1 = config.m1 * shell * damping / omega
+        c2 = c1 if config.m2 == config.m1 else config.m2 * shell * damping / omega
         ring = np.exp(1j * omega * t) - 1.0
         x1s, x2s = map(set, zip(*positions.values()))
         waves1 = {x1: c1 * np.exp(1j * k * x1) for x1 in x1s}

@@ -142,7 +142,13 @@ def witness(state: TwoQubitState, settings: WitnessSettings | None = None) -> Wi
     of the unrotated state, reported alongside, is the exact criterion.
     """
     settings = WitnessSettings() if settings is None else settings
-    cxz, cyz = expectation(state, "X", "Z"), expectation(state, "Y", "Z")
+    return _witness(state, settings, expectation(state, "X", "Z"),
+                    expectation(state, "Y", "Z"))
+
+
+def _witness(state: TwoQubitState, settings: WitnessSettings,
+             cxz: float, cyz: float) -> WitnessResult:
+    """`witness` from the unrotated <XZ> and <YZ>."""
     # Conjugating sigma_x by Rz(t) gives cos(t) sx - sin(t) sy, and sigma_y
     # gives cos(t) sy + sin(t) sx; sigma_z on qubit 2 commutes with Rz(thetaZ2).
     c, s = math.cos(settings.thetaZ1), math.sin(settings.thetaZ1)
@@ -163,7 +169,7 @@ def optimize_witness(state: TwoQubitState) -> tuple[WitnessSettings, WitnessResu
     cxz, cyz = expectation(state, "X", "Z"), expectation(state, "Y", "Z")
     # + 0.0 turns the -0.0 of atan2(-0.0, 0.0) into 0.0 for W = 0 states
     settings = WitnessSettings(math.atan2(-(cxz + cyz), cxz - cyz) + 0.0)
-    return settings, witness(state, settings)
+    return settings, _witness(state, settings, cxz, cyz)
 
 
 def apply_dephasing(state: TwoQubitState, p1: float, p2: float) -> TwoQubitState:

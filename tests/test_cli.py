@@ -77,6 +77,30 @@ def test_field_convergence(capsys):
     assert data["minOverlapMagnitude"] >= 1 - 1e-6
 
 
+def test_field_table_is_the_same_at_every_point(capsys):
+    tables = []
+    for d in ("4.5e-4", "7e-4"):
+        code, out, _ = run_cli(capsys, "field", "--paper-defaults",
+                               "--n-modes", "400", "--set", f"d={d}")
+        assert code == 0
+        tables.append(json.loads(out)["convergence"])
+    assert [row["ratio"] for row in tables[0]] == \
+        [row["ratio"] for row in tables[1]]
+    assert tables[0][0]["newtonian"] != tables[1][0]["newtonian"]
+    for row in tables[0] + tables[1]:
+        assert row["phase"] == row["newtonian"] * row["ratio"]
+
+
+def test_field_at_an_underflowing_time(capsys):
+    # G m1 m2 t underflows to 0: the table reads phase 0 and its ratio
+    code, out, err = run_cli(capsys, "field", "--paper-defaults",
+                             "--n-modes", "200", "--time", "1e-300")
+    assert code == 0, err
+    rows = json.loads(out)["convergence"]
+    assert all(row["newtonian"] == 0.0 and row["phase"] == 0.0 for row in rows)
+    assert rows[-1]["ratio"] == gravfield.mode_sum_ratio(200, 2e3)
+
+
 def test_set_overrides(capsys):
     code, out, _ = run_cli(capsys, "phases", "--paper-defaults",
                            "--set", "tau=5.0")
@@ -550,6 +574,18 @@ def test_field_overflow_is_one_error_and_no_numpy_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["field", "--paper-defaults", "--time", "1e300"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: alpha contains non-finite entries\n"
+
+
+def test_field_overflowing_coupling_is_one_error_and_no_numpy_warning(capsys):
+    # the grid tuned for this separation overflows the coupling's c k w
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["field", "--paper-defaults", "--n-modes", "200",
+                     "--separation", "1e-280"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from gravwitness.core import CONSTANTS
 from gravwitness.gravfield import (BranchDisplacements, FieldModeSet,
                                    branch_displacement_set, branch_overlap,
                                    branch_overlaps, branch_phase, build_modes,
                                    classicalize, dephase_branch_basis,
-                                   displacements, modes_for_separation,
-                                   newtonian_phase, reduced_mass_state)
+                                   displacements, mode_sum_ratio,
+                                   modes_for_separation, newtonian_phase,
+                                   reduced_mass_state)
 from gravwitness.gravphase import BRANCHES, branch_positions, static_phases
 from gravwitness.spinstate import entangled_state, negativity
 
@@ -96,6 +100,40 @@ def test_branch_phase_one_over_r(paper_config):
     p_r = branch_phase(modes_r, paper_config, r, paper_config.tau)
     p_2r = branch_phase(modes_2r, paper_config, 2 * r, paper_config.tau)
     assert p_2r / p_r == pytest.approx(0.5, rel=0.02)
+
+
+log_uniform = st.floats(-9.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@given(r=log_uniform, t=st.floats(1e-3, 1e3), n=st.integers(2, 3000),
+       kappa=st.floats(0.0, 5.0).map(lambda e: 10.0 ** e))
+@settings(max_examples=100, deadline=None)
+def test_mode_sum_ratio_is_the_ratio_at_every_point(paper_config, r, t, n, kappa):
+    # the grid built at r is the unit grid over r up to its rounding
+    phase = branch_phase(modes_for_separation(r, n, kappa), paper_config, r, t)
+    want = phase / newtonian_phase(paper_config, r, t)
+    assert abs(mode_sum_ratio(n, kappa) - want) <= 1e-13 * abs(want)
+
+
+def test_mode_sum_ratio_cache_returns_the_computed_bits():
+    mode_sum_ratio.cache_clear()
+    first = mode_sum_ratio(300, 2e3)
+    assert mode_sum_ratio.cache_info().misses == 1
+    assert mode_sum_ratio(300, 2e3) == first
+    assert mode_sum_ratio.cache_info().hits == 1
+    assert mode_sum_ratio.__wrapped__(300, 2e3) == first
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2e3, 1e5])
+def test_mode_sum_ratio_against_mpmath(kappa):
+    # the float unit grid re-summed exactly: only the float sum's rounding
+    # separates the two (2.5e-16 seen at kappa = 2e3)
+    modes = modes_for_separation(1.0, 250, kappa)
+    with mp.workdps(50):
+        total = sum(mpf(w) * mp.sin(mpf(k)) / mpf(k) * mp.exp(-mpf(k) / mpf(kappa))
+                    for k, w in zip(modes.kGrid.tolist(), modes.weights.tolist()))
+        want = 2 / mp.pi * total
+    assert abs(mode_sum_ratio(250, kappa) - want) <= 2e-15 * abs(want)
 
 
 def test_displacements_zero_time(paper_config):
