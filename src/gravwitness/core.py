@@ -310,34 +310,27 @@ def _choose(condition, a, b):
 class Ops:
     """The operations whose number and array forms differ.  A formula
     written with them is numpy-generic: with `ARRAY_OPS` it gives on each
-    array element bit for bit what it gives on that number with `NAN_OPS`,
-    and with `FLOAT_OPS` where that does not raise.  ``divide`` is
-    `_divide`; ``where(condition, a, b)`` picks a where the condition holds.
-    With ``checked`` (`FLOAT_OPS`), inputs are range-checked and a regime
-    guard that fires raises RegimeError; unchecked, on validated
-    configurations, no check can fail and a guard gives where it fires."""
+    array element bit for bit what it gives on that number with `NAN_OPS`.
+    ``divide`` is `_divide`; ``where(condition, a, b)`` picks a where the
+    condition holds.  Such a formula checks nothing and raises nowhere."""
 
     pow: Callable
     expm1: Callable
     sqrt: Callable
     divide: Callable
     where: Callable
-    checked: bool
 
 
-FLOAT_OPS = Ops(pow=pow, expm1=math.expm1, sqrt=math.sqrt, divide=_divide,
-                where=_choose, checked=True)
 # numbers with the arithmetic of ARRAY_OPS: a power is a float, nan where it
 # overflows.  expm1 stays libm's: its one argument, -Gamma T of the budget,
 # is <= 0 or nan
 NAN_OPS = Ops(pow=_pow_or_nan, expm1=math.expm1, sqrt=math.sqrt,
-              divide=_divide, where=_choose, checked=False)
+              divide=_divide, where=_choose)
 # numpy's array pow and expm1 round differently from libm in the last bit on
 # some inputs, so arrays go through libm element by element;
 # np.sqrt is correctly rounded, as libm's sqrt is
 ARRAY_OPS = Ops(pow=_elementwise(pow), expm1=_elementwise(math.expm1),
-                sqrt=np.sqrt, divide=_divide_arrays, where=np.where,
-                checked=False)
+                sqrt=np.sqrt, divide=_divide_arrays, where=np.where)
 
 
 # gravphase imports this module, so its name is bound last

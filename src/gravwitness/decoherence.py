@@ -4,8 +4,8 @@ Collisional decoherence is evaluated in the saturated regime (superposition
 size far above the gas de Broglie wavelength, so every scattering event
 resolves the path): Gamma = n vbar sigma_geo.  Thermal-photon localization
 uses the standard long-wavelength rates Gamma = Lambda dx^2.  The public
-functions raise where a regime guard fires instead of extrapolating; the
-sweep reads the guard numbers of the cores they share.
+functions raise where a regime guard of the cores they share with the
+sweep fires, instead of extrapolating; the sweep reads the guard numbers.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (CONSTANTS, FLOAT_OPS, ExperimentConfig, Ops, RegimeError,
-                   _frozen)
+from .core import (CONSTANTS, NAN_OPS, ExperimentConfig, Ops, RegimeError,
+                   _divide, _frozen)
 
 # Long-wavelength localization coefficients for a dielectric sphere
 # (Joos-Zeh-type photon scattering and blackbody emission/absorption; see
@@ -50,19 +50,18 @@ def experiment_duration(config: ExperimentConfig) -> float:
     return config.tau + 2.0 * config.tauAcc
 
 
-def gas_density(pressure: float, tEnv: float, ops: Ops = FLOAT_OPS) -> float:
+def gas_density(pressure: float, tEnv: float) -> float:
     """Ideal-gas number density n = P / (kB T); where kB T underflows to 0
-    it is inf, or 0 at P = 0.  Numpy-generic with ``ops=ARRAY_OPS``."""
-    if ops.checked:
-        if not (math.isfinite(pressure) and pressure >= 0):
-            raise ValueError(f"pressure must be >= 0, got {pressure!r}")
-        if not (math.isfinite(tEnv) and tEnv > 0):
-            raise ValueError(f"tEnv must be positive, got {tEnv!r}")
-    return ops.divide(pressure, CONSTANTS.kB * tEnv)
+    it is inf, or 0 at P = 0."""
+    if not (math.isfinite(pressure) and pressure >= 0):
+        raise ValueError(f"pressure must be >= 0, got {pressure!r}")
+    if not (math.isfinite(tEnv) and tEnv > 0):
+        raise ValueError(f"tEnv must be positive, got {tEnv!r}")
+    return _divide(pressure, CONSTANTS.kB * tEnv)
 
 
 def gas_de_broglie_wavelength(config: ExperimentConfig,
-                              ops: Ops = FLOAT_OPS) -> float:
+                              ops: Ops = NAN_OPS) -> float:
     """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) of the gas, or inf
     where 2 pi m kB T underflows to 0.  Numpy-generic with
     ``ops=ARRAY_OPS``."""
@@ -70,87 +69,79 @@ def gas_de_broglie_wavelength(config: ExperimentConfig,
     return ops.divide(2.0 * math.pi * CONSTANTS.hbar, ops.sqrt(mkt))
 
 
-def _regime_message(dx: float, scale: float, temp: float | None = None) -> str:
-    """The RegimeError text of the collisional guard (``scale`` the gas de
-    Broglie wavelength), or with ``temp`` of a photon guard (``scale`` the
-    thermal wavelength at ``temp``)."""
-    if temp is None:
-        return (f"saturated collisional regime needs dx >> gas de Broglie "
-                f"wavelength: dx={dx:g} m vs {_REGIME_MARGIN:g} x {scale:g} m")
-    return (f"long-wavelength photon regime needs dx << thermal wavelength: "
-            f"dx={dx:g} m vs {scale:g} m at {temp:g} K")
-
-
 def _first_guard_message(config: ExperimentConfig, guard, wavelengths) -> str:
     """The RegimeError text of `_budget`'s first ``guard`` to fire at
     ``config``, from the ``wavelengths`` it returns; "" where none fires."""
     if not guard:
         return ""
-    return _regime_message(config.dx, wavelengths[guard - 1],
-                           (None, config.tEnv, config.tInt)[guard - 1])
+    dx, scale = config.dx, wavelengths[guard - 1]
+    if guard == _COLLISIONAL:
+        return (f"saturated collisional regime needs dx >> gas de Broglie "
+                f"wavelength: dx={dx:g} m vs {_REGIME_MARGIN:g} x {scale:g} m")
+    return (f"long-wavelength photon regime needs dx << thermal wavelength: "
+            f"dx={dx:g} m vs {scale:g} m at "
+            f"{(config.tEnv, config.tInt)[guard - 2]:g} K")
+
+
+def _in_regime(config: ExperimentConfig, guard, wavelengths, value):
+    """``value``, or the public RegimeError where ``guard`` fires."""
+    if guard:
+        raise RegimeError(_first_guard_message(config, guard, wavelengths))
+    return value
 
 
 def _collisions(config: ExperimentConfig, ops: Ops):
-    """The core of `collisional_time`: where the saturated-regime guard
-    fires, the gas de Broglie wavelength it compares dx with, and
-    1/(n vbar pi R^2)."""
+    """The core of `collisional_time`: the saturated-regime guard's number
+    where it fires (never without gas), else 0, the gas de Broglie
+    wavelength it compares dx with, and 1/(n vbar pi R^2)."""
     lam = gas_de_broglie_wavelength(config, ops)
-    fired = config.dx < _REGIME_MARGIN * lam
-    if ops.checked and fired:
-        raise RegimeError(_regime_message(config.dx, lam))
-    n = gas_density(config.pressure, config.tEnv, ops)
-    vbar = ops.sqrt(8.0 * CONSTANTS.kB * config.tEnv / (math.pi * config.mGas))
+    guard = ops.where((config.dx < _REGIME_MARGIN * lam)
+                      & (config.pressure != 0.0), _COLLISIONAL, 0)
+    n = ops.divide(config.pressure, CONSTANTS.kB * config.tEnv)
+    vbar = ops.sqrt(ops.divide(8.0 * CONSTANTS.kB * config.tEnv,
+                               math.pi * config.mGas))
     gamma = n * vbar * math.pi * ops.pow(config.radius, 2)
-    return fired, lam, ops.divide(1.0, gamma)
+    return guard, lam, ops.divide(1.0, gamma)
 
 
 def collisional_time(config: ExperimentConfig) -> float:
     """Saturated-regime collisional decoherence time 1/(n vbar pi R^2), inf
     at zero pressure.  Valid only for dx well above the gas de Broglie
     wavelength, where every collision resolves the superposition."""
-    return _collisions(config, FLOAT_OPS)[2]
+    guard, lam, tau_coll = _collisions(config, NAN_OPS)
+    return _in_regime(config, guard, (lam,), tau_coll)
 
 
-def dielectric_factor(epsRel: float, ops: Ops = FLOAT_OPS) -> float:
+def dielectric_factor(epsRel: float, ops: Ops = NAN_OPS) -> float:
     """F(eps) of the photon rates above and of the Casimir-Polder potential.
     Numpy-generic with ``ops=ARRAY_OPS``."""
     return ops.pow((epsRel - 1.0) / (epsRel + 2.0), 2)
 
 
-def thermal_wavelength(temperature: float, ops: Ops = FLOAT_OPS) -> float:
+def thermal_wavelength(temperature: float, ops: Ops = NAN_OPS) -> float:
     """Dominant thermal photon wavelength 2 pi hbar c / (kB T), or inf where
     kB T is 0.  Numpy-generic with ``ops=ARRAY_OPS``."""
     return ops.divide(2.0 * math.pi * CONSTANTS.hbar * CONSTANTS.c,
                       CONSTANTS.kB * temperature)
 
 
-def _photon_guard(config: ExperimentConfig, temp: float, ops: Ops):
-    """Where dx is not well below the thermal wavelength at ``temp``, as the
-    long-wavelength rates need (`FLOAT_OPS` raises there), and that
-    wavelength."""
-    wavelength = thermal_wavelength(temp, ops)
-    hot = config.dx > wavelength / _REGIME_MARGIN
-    if ops.checked and hot:
-        raise RegimeError(_regime_message(config.dx, wavelength, temp))
-    return hot, wavelength
-
-
 def _photons(config: ExperimentConfig, ops: Ops):
-    """The core of `thermal_rates`: the `_photon_guard` at tEnv and at tInt,
-    and the (scattering, emission, absorption) rates.  Where kB T is 0
-    there are no photons: the guard holds and the rate is 0.  The guard at
-    tInt is checked after the scattering rate is computed, so with
-    `FLOAT_OPS` an overflow there raises first, as it always has."""
+    """The core of `thermal_rates`: the first photon guard to fire (dx not
+    well below the thermal wavelength at tEnv, then at tInt), else 0, those
+    wavelengths, and the (scattering, emission, absorption) rates.  Where
+    kB T is 0 there are no photons: the guard holds and the rate is 0."""
     dielec = dielectric_factor(config.epsRel, ops)
     hc = CONSTANTS.hbar * CONSTANTS.c
-    env = _photon_guard(config, config.tEnv, ops)
+    env = thermal_wavelength(config.tEnv, ops)
+    internal = thermal_wavelength(config.tInt, ops)
+    guard = ops.where(config.dx > env / _REGIME_MARGIN, _PHOTON_ENV, ops.where(
+        config.dx > internal / _REGIME_MARGIN, _PHOTON_INT, 0))
     kt_env = CONSTANTS.kB * config.tEnv / hc
     lam_sc = (_C_SCATTER * CONSTANTS.c * ops.pow(config.radius, 6)
               * ops.pow(kt_env, 9) * dielec)
     dx2 = ops.pow(config.dx, 2)
-    internal = _photon_guard(config, config.tInt, ops)
     planck = _C_PLANCK * CONSTANTS.c * ops.pow(config.radius, 3)
-    return env, internal, (
+    return guard, (env, internal), (
         lam_sc * dx2,
         planck * ops.pow(CONSTANTS.kB * config.tInt / hc, 6) * dielec * dx2,
         planck * ops.pow(kt_env, 6) * dielec * dx2,
@@ -160,22 +151,19 @@ def _photons(config: ExperimentConfig, ops: Ops):
 def thermal_rates(config: ExperimentConfig) -> tuple[float, float, float]:
     """(scattering, emission, absorption) localization rates at the
     superposition size dx, long-wavelength regime."""
-    return _photons(config, FLOAT_OPS)[2]
+    guard, wavelengths, rates = _photons(config, NAN_OPS)
+    return _in_regime(config, guard, (math.nan, *wavelengths), rates)
 
 
 def _budget(config: ExperimentConfig, ops: Ops):
     """The core of `dephasing_budget`: the first regime guard to fire (0 if
     none), `collisional_time`, the wavelengths the guards compare dx with
     (gas de Broglie, thermal at tEnv and at tInt) and the DecoherenceRates;
-    of arrays with ``ops=ARRAY_OPS``.  With `FLOAT_OPS` the first guard to
-    fire raises.  Unchecked ops take validated configurations: pressure > 0."""
-    if ops.checked and config.pressure == 0.0:
-        coll_fired, lam_gas, tau_coll = False, math.nan, math.inf  # no gas
-    else:
-        coll_fired, lam_gas, tau_coll = _collisions(config, ops)
+    of arrays with ``ops=ARRAY_OPS``."""
+    coll_guard, lam_gas, tau_coll = _collisions(config, ops)
     # inf where n vbar pi R^2 overflows and tau_coll is 0
     gamma_coll = ops.divide(1.0, tau_coll)
-    env, internal, (g_sc, g_em, g_abs) = _photons(config, ops)
+    guard, (lam_env, lam_int), (g_sc, g_em, g_abs) = _photons(config, ops)
     total_rate = gamma_coll + g_sc + g_em + g_abs
     # 1 - e^{-Gamma T} without cancelling where Gamma T is small
     p = -ops.expm1(-total_rate * experiment_duration(config))
@@ -184,9 +172,8 @@ def _budget(config: ExperimentConfig, ops: Ops):
         "gammaColl": gamma_coll, "gammaSc": g_sc, "gammaEm": g_em,
         "gammaAbs": g_abs, "tauColl": ops.divide(1.0, gamma_coll),
         "totalDephasing": p})
-    guard = ops.where(coll_fired, _COLLISIONAL, ops.where(
-        env[0], _PHOTON_ENV, ops.where(internal[0], _PHOTON_INT, 0)))
-    return guard, tau_coll, (lam_gas, env[1], internal[1]), rates
+    guard = ops.where(coll_guard, _COLLISIONAL, guard)
+    return guard, tau_coll, (lam_gas, lam_env, lam_int), rates
 
 
 def dephasing_budget(config: ExperimentConfig) -> DecoherenceRates:
@@ -194,4 +181,5 @@ def dephasing_budget(config: ExperimentConfig) -> DecoherenceRates:
     ``totalDephasing`` = 1 - e^{-Gamma T_exp} is the fraction of each mass's
     coherence lost, a phase flip at p = totalDephasing / 2 on each spin (see
     `sweep.evaluate`)."""
-    return _budget(config, FLOAT_OPS)[3]
+    guard, _, wavelengths, rates = _budget(config, NAN_OPS)
+    return _in_regime(config, guard, wavelengths, rates)

@@ -145,8 +145,12 @@ def branch_phase(modes: FieldModeSet, config: ExperimentConfig,
 
 
 def newtonian_phase(config: ExperimentConfig, separation: float, t: float) -> float:
-    """Continuum target G m1 m2 t / (hbar r)."""
-    return CONSTANTS.G * config.m1 * config.m2 * t / (CONSTANTS.hbar * separation)
+    """Continuum target G m1 m2 t / (hbar r), divided by hbar and by r in
+    turn where hbar r is below the smallest normal float."""
+    gmmt = CONSTANTS.G * config.m1 * config.m2 * t
+    hbar_r = CONSTANTS.hbar * separation
+    return (gmmt / hbar_r if abs(hbar_r) >= np.finfo(float).tiny
+            else gmmt / CONSTANTS.hbar / separation)
 
 
 def _branches(modes: FieldModeSet, config: ExperimentConfig, t: float,

@@ -105,7 +105,7 @@ def superposition_size(dBdx: float, tauAcc: float, m: float) -> float:
 
 
 def _kinematic_split(dBdx: float, tauAcc: float, m: float) -> float:
-    """`superposition_size` of inputs already checked; `core.validate`
+    """`superposition_size` of inputs already validated; `core.validate`
     calls it directly."""
     return 0.5 * (CONSTANTS.gE * CONSTANTS.muB * dBdx / m) * tauAcc**2
 

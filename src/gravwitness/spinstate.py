@@ -98,7 +98,8 @@ class WitnessResult:
 def entangled_state(dPhiLR: float, dPhiRL: float) -> TwoQubitState:
     """Pure state with amplitudes (1, e^{i dPhiLR}, e^{i dPhiRL}, 1)/2."""
     if not (math.isfinite(dPhiLR) and math.isfinite(dPhiRL)):
-        raise ValueError("phases must be finite")
+        raise ValueError(f"phases must be finite, got dPhiLR={dPhiLR!r}, "
+                         f"dPhiRL={dPhiRL!r}")
     return TwoQubitState(_pure_rho(dPhiLR, dPhiRL))
 
 

@@ -18,8 +18,8 @@ One function, `_point`, computes a point's numbers into a `_Point`: with
 `NAN_OPS` for one configuration, with `ARRAY_OPS` for a grid, so every
 grid row equals its scalar row bit for bit.  Its decoherence guards report
 which one fired instead of raising.  `_row` builds a valid row from a
-scalar record, `_feasible_row` one with no reason; rows and point
-configurations are `core._frozen`, without their keyword ``__init__``.
+scalar record and its `_row_reasons`, which `evaluate` reports; rows and
+point configurations are `core._frozen`, without their keyword ``__init__``.
 `to_csv` and the CLI write rows by one `_row_dict` and `_text`;
 `validate` issues no warning.
 """
@@ -38,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import constraints, decoherence, spinstate
-from .constraints import ConstraintReport, feasibility_report
+from .constraints import ConstraintReport
 from .core import (ARRAY_OPS, NAN_OPS, ConfigError, ExperimentConfig,
                    FIELD_NAMES, _frozen, validate)
 from .decoherence import DecoherenceRates
@@ -206,7 +206,7 @@ class Evaluation:
     ``budget`` is None when the decoherence budget is out of its regime;
     ``regimeError`` then holds the guard's message, which ``report`` gives
     as a reason, and ``dephased`` is None.
-    The spin states are built and checked (finite phases and p) on access.
+    The spin states are built, and their phases and p tested, on access.
     """
 
     phases: PhaseSet
@@ -229,19 +229,19 @@ class Evaluation:
 def evaluate(config: ExperimentConfig, cpRatioMax: float = 0.1,
              tauCollOver: float = 1.0) -> Evaluation:
     """Phases, feasibility and decoherence budget of a validated
-    configuration, with its noiseless and dephased spin states.  The
-    report is `feasibility_report`'s, which raises where a power
-    overflows, and infeasible where a budget guard fires, as the row is."""
+    configuration, with its noiseless and dephased spin states, from one
+    `_closest_approach` and one `_budget`.  The report's verdict and
+    reasons are the sweep row's `_row_reasons` at this point."""
+    constraints._check_inputs(cpRatioMax, tauCollOver)
     phases = static_phases(config)
-    guard, _, wavelengths, budget = decoherence._budget(config, NAN_OPS)
-    report = feasibility_report(config, targetRatio=cpRatioMax,
-                                tauCollFactor=tauCollOver)
-    regime_error = decoherence._first_guard_message(config, guard, wavelengths)
-    reason = f"decoherence regime: {regime_error}"
-    if guard and reason not in report.reasons:
-        report = replace(report, feasible=False,
-                         reasons=(*report.reasons, reason))
-    return Evaluation(phases, report, None if guard else budget, regime_error)
+    closest = constraints._closest_approach(config, 0.0, NAN_OPS)
+    budget = decoherence._budget(config, NAN_OPS)
+    point = _point(config, NAN_OPS, (phases, closest, budget))
+    report = constraints._report(config, closest, cpRatioMax, _row_reasons(
+        config, point, cpRatioMax, tauCollOver))
+    return Evaluation(phases, report, None if point.guard else budget[3],
+                      decoherence._first_guard_message(
+                          config, point.guard, point.wavelengths))
 
 
 def _config(fields: dict, overrides: dict) -> ExperimentConfig:
@@ -278,17 +278,20 @@ class _Point:
                         for x in self])
 
 
-def _point(cfg, ops=NAN_OPS) -> _Point:
+def _point(cfg, ops=NAN_OPS, parts=None) -> _Point:
     """A validated configuration's `_Point`, or with ``ops=ARRAY_OPS`` a
-    batch's, equal bit for bit.  A number computed from a power that
-    overflows is nan."""
-    phases = static_phases(cfg)
-    _, _, cp_ratio, mag_ratio = constraints._closest_approach(cfg, 0.0, ops)
-    guard, coll_time, wavelengths, budget = decoherence._budget(cfg, ops)
+    batch's, equal bit for bit; from ``parts``, its phases and its
+    `_closest_approach` and `_budget`, where the caller has them.  A power
+    that overflows is nan."""
+    phases, closest, budget = parts or (
+        static_phases(cfg), constraints._closest_approach(cfg, 0.0, ops),
+        decoherence._budget(cfg, ops))
+    _, _, cp_ratio, mag_ratio = closest
+    guard, coll_time, wavelengths, rates = budget
     lr, rl = phases.dPhiLR, phases.dPhiRL
-    p = ops.where(guard, 0.0, _flip_probability(budget))
+    p = ops.where(guard, 0.0, _flip_probability(rates))
     return _Point(lr, rl, cp_ratio, mag_ratio,
-                  ops.where(guard, math.nan, budget.tauColl), coll_time,
+                  ops.where(guard, math.nan, rates.tauColl), coll_time,
                   decoherence.experiment_duration(cfg), guard, wavelengths,
                   p, _exists(lr, rl, cp_ratio, mag_ratio, p))
 
@@ -332,7 +335,8 @@ def _evaluate_point(base: ExperimentConfig, spec: SweepSpec,
     value = _scalar_objective(spec.objective, point) if known else math.nan
     if scoring:
         return value, point
-    return _row(spec, dict(overrides), cfg, point, value)
+    return _row(dict(overrides), point, value, _row_reasons(
+        cfg, point, spec.cpRatioMax, spec.requireTauCollOver))
 
 
 def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
@@ -340,35 +344,27 @@ def _invalid_row(params: dict[str, float], error: str) -> SweepRow:
     return _new_row(params, *[math.nan] * 5, False, f"invalid config: {error}")
 
 
-def _feasible_row(params: dict[str, float], point: _Point,
-                  objective: float) -> SweepRow:
-    """The row of a feasible point's scalar `_Point`."""
-    return _new_row(params, point.dPhiLR, point.dPhiRL, objective,
-                    point.cpRatio, point.tauColl, True, "")
+def _row_reasons(cfg: ExperimentConfig, point: _Point, cpRatioMax: float,
+                 tauCollOver: float) -> list[str]:
+    """The `constraints._reasons` of the valid configuration ``cfg`` at its
+    scalar `_Point`: its checks, the message of the budget's first guard,
+    and each number that does not exist (``p`` is 0 out of regime)."""
+    numbers = {} if point.exists else {
+        k: getattr(point, k)
+        for k in ("dPhiLR", "dPhiRL", "cpRatio", "magRatio", "p")}
+    missing = [(k, v) for k, v in numbers.items()
+               if not _exists(**{**dict.fromkeys(numbers, 0.0), k: v})]
+    return constraints._reasons(
+        point.cpRatio, point.magRatio, cpRatioMax, point.collisionalTime,
+        tauCollOver, point.duration, decoherence._first_guard_message(
+            cfg, point.guard, point.wavelengths),
+        point.guard == decoherence._COLLISIONAL, missing)
 
 
-def _row(spec: SweepSpec, params: dict[str, float], cfg: ExperimentConfig,
-         point: _Point, objective: float) -> SweepRow:
-    """The row of a valid configuration ``cfg`` at its scalar `_Point`: the
-    `constraints._reasons` of its numbers, then the message of the
-    budget's first guard unless a reason already, then each number that
-    does not exist (``p`` is 0 out of regime)."""
-    regime_error = decoherence._first_guard_message(cfg, point.guard,
-                                                    point.wavelengths)
-    reasons = constraints._reasons(
-        point.cpRatio, point.magRatio, spec.cpRatioMax, point.collisionalTime,
-        spec.requireTauCollOver, point.duration,
-        regime_error if point.guard == decoherence._COLLISIONAL else "")
-    if point.guard:
-        msg = f"decoherence regime: {regime_error}"
-        if msg not in reasons:
-            reasons.append(msg)
-    if not point.exists:
-        numbers = {k: getattr(point, k)
-                   for k in ("dPhiLR", "dPhiRL", "cpRatio", "magRatio", "p")}
-        reasons.append("arithmetic: " + ", ".join(
-            f"{k} {v:.3g}" for k, v in numbers.items()
-            if not _exists(**{**dict.fromkeys(numbers, 0.0), k: v})))
+def _row(params: dict[str, float], point: _Point, objective: float,
+         reasons=()) -> SweepRow:
+    """The row of a valid configuration at its scalar `_Point`, infeasible
+    for each of its `_row_reasons`, feasible without."""
     return _new_row(params, point.dPhiLR, point.dPhiRL, objective,
                     point.cpRatio, point.tauColl, not reasons,
                     "; ".join(reasons))
@@ -427,8 +423,8 @@ def _objectives(spec: SweepSpec, point: _Point, index) -> list[float]:
         pure = spinstate._pure_rho(lr, rl)
         dephased = pure * spinstate._dephasing_factors(p, p)
     values = []
-    for checked, state in zip(pure, dephased):
-        spinstate.TwoQubitState(checked)    # as `entangled_state` checks it
+    for noiseless, state in zip(pure, dephased):
+        spinstate.TwoQubitState(noiseless)  # as `entangled_state` checks it
         values.append(spinstate.negativity(spinstate.TwoQubitState(state)))
     return values
 
@@ -442,8 +438,8 @@ def _best_row(grid: list[dict], valid: list, point: _Point,
     if not index:
         return None
     j = max(index, key=objectives.__getitem__)
-    return _feasible_row(dict(grid[valid[j][0]]),
-                      point.apply(lambda x: x[j].item()), objectives[j])
+    return _row(dict(grid[valid[j][0]]), point.apply(lambda x: x[j].item()),
+                objectives[j])
 
 
 def _grid_rows(spec: SweepSpec, base: ExperimentConfig
@@ -464,8 +460,8 @@ def _grid_rows(spec: SweepSpec, base: ExperimentConfig
                             for x in point.apply(np.ndarray.tolist)])
     for (i, cfg), ok, value, scalar in zip(valid, feasible.tolist(),
                                            objectives, scalars):
-        rows[i] = (_feasible_row(grid[i], scalar, value) if ok
-                   else _row(spec, grid[i], cfg, scalar, value))
+        rows[i] = _row(grid[i], scalar, value, () if ok else _row_reasons(
+            cfg, scalar, spec.cpRatioMax, spec.requireTauCollOver))
     return rows, start
 
 
@@ -515,7 +511,7 @@ def _line_search(base: ExperimentConfig, spec: SweepSpec, axis: SweepAxis,
         trial = {**params, axis.name: from_x(x)}
         value, point = _evaluate_point(base, spec, trial, True)
         if value > best.objective:      # feasible: a row without reasons
-            best = _feasible_row(trial, point, value)
+            best = _row(trial, point, value)
         return value
 
     a, b = to_x(axis.min), to_x(axis.max)

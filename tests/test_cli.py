@@ -193,8 +193,9 @@ def test_sweep_csv_is_the_library_csv(capsys):
     (("tEnv=1e-300",), 0, ""),
     # tauAcc**2 overflows in the kinematic split
     (("tauAcc=1e155",), 2, "error: kinematic dx overflows: dBdx="),
-    # radius**6 / r**7 overflows in the Casimir-Polder ratio
-    (("d=1e46", "radius=1e45"), 1, "error: "),
+    # radius**6 / r**7 overflows in the Casimir-Polder ratio: a nan ratio,
+    # which is data and the point's last reason
+    (("d=1e46", "radius=1e45"), 0, "arithmetic: cpRatio nan"),
 ])
 def test_arithmetic_failures_are_named_errors(capsys, sets, code, message):
     argv = ["witness", "--paper-defaults"]
@@ -202,11 +203,60 @@ def test_arithmetic_failures_are_named_errors(capsys, sets, code, message):
         argv += ["--set", item]
     got, out, err = run_cli(capsys, *argv)
     assert got == code
-    assert err.startswith(message)
-    if code == 0:
-        assert "gas de Broglie" in json.loads(out)["dephasingRegimeError"]
-    else:
+    if code != 0:
+        assert err.startswith(message)
         assert out == ""
+        return
+    assert err == ""
+    data = json.loads(out)
+    assert data["feasibility"]["feasible"] is False
+    if not message:
+        assert "gas de Broglie" in data["dephasingRegimeError"]
+        return
+    assert data["feasibility"]["reasons"][-1] == message
+    assert data["feasibility"]["cpRatio"] is None
+    assert data["nonFinite"] == ["feasibility.cpRatio"]
+
+
+@pytest.mark.parametrize("sets, reason, non_finite", [
+    # radius**6 / r**7 overflows in the Casimir-Polder ratio
+    (("d=1e46", "radius=1e45"), "arithmetic: cpRatio nan",
+     ["vCP", "cpRatio", "minSeparation"]),
+    # and radius**6 in the photon scattering rate too
+    (("d=1e61", "radius=1e60"), "arithmetic: cpRatio nan",
+     ["vCP", "cpRatio", "minSeparation"]),
+])
+def test_overflowing_powers_are_data(capsys, sets, reason, non_finite):
+    argv = [x for item in sets for x in ("--set", item)]
+    code, out, err = run_cli(capsys, "constraints", "--paper-defaults", *argv)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["feasible"] is False and data["reasons"][-1] == reason
+    assert data["nonFinite"] == non_finite
+    code, out, err = run_cli(capsys, "decoherence", "--paper-defaults", *argv)
+    assert (code, err) == (0, "")
+    overflows = sets[1] == "radius=1e60"
+    assert json.loads(out).get("nonFinite") == (
+        ["gammaSc", "totalDephasing"] if overflows else None)
+
+
+def test_witness_prints_the_sweep_row_where_a_power_overflows(capsys):
+    # at each arithmetic row of a grid out to 1e46 m, the CLI witness gives
+    # the row's verdict and reasons
+    from test_sweep import _OVERFLOWING_AXES
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigConsistencyWarning)
+        rows = run_sweep(SweepSpec(axes=_OVERFLOWING_AXES),
+                         validate(paper_defaults())).rows
+    arithmetic = [row for row in rows if "arithmetic: " in row.reason]
+    assert len(rows) == 12 and len(arithmetic) == 3
+    for row in arithmetic:
+        code, out, _ = run_cli(capsys, "witness", "--paper-defaults", *[
+            x for k, v in row.params.items() for x in ("--set", f"{k}={v!r}")])
+        assert code == 0
+        feasibility = json.loads(out)["feasibility"]
+        assert (feasibility["feasible"], "; ".join(feasibility["reasons"])) \
+            == (row.feasible, row.reason)
 
 
 def test_overflowing_collision_rate_is_data(capsys):
@@ -592,6 +642,18 @@ def test_field_overflowing_coupling_is_one_error_and_no_numpy_warning(capsys):
     assert err == "error: alpha contains non-finite entries\n"
 
 
+def test_field_where_hbar_r_underflows_is_the_alpha_error(capsys):
+    # hbar r underflows to 0 at this separation: the Newtonian phase is
+    # finite, not a division by zero, and the command stops at alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["field", "--paper-defaults", "--n-modes", "200",
+                     "--separation", "1e-300"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: alpha contains non-finite entries\n"
+
+
 @pytest.mark.parametrize("parts, error", [
     (("no", "rows.csv"), "[Errno 2] No such file or directory"),
     ((), "[Errno 21] Is a directory"),
@@ -599,7 +661,7 @@ def test_field_overflowing_coupling_is_one_error_and_no_numpy_warning(capsys):
 def test_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch,
                                                parts, error):
     def run_sweep(*args):
-        raise AssertionError("the sweep ran before --out was checked")
+        raise AssertionError("the sweep ran before --out was tested")
     monkeypatch.setattr(sweep_mod, "run_sweep", run_sweep)
     path = str(tmp_path.joinpath(*parts))
     code, out, err = run_cli(capsys, "sweep", "--paper-defaults",

@@ -67,6 +67,14 @@ def test_collisional_time_zero_pressure(paper_config):
         == math.inf
 
 
+def test_collisional_time_without_gas_is_the_budgets(paper_config):
+    # no gas, no collisional guard: even where the gas de Broglie wavelength
+    # is infinite, at tEnv = 0, the time is inf, as in the budget
+    empty = dataclasses.replace(paper_config, pressure=0.0, tEnv=0.0)
+    assert collisional_time(empty) == dephasing_budget(empty).tauColl \
+        == math.inf
+
+
 def test_collisional_regime_guard(paper_config):
     # a split below the gas de Broglie wavelength is out of regime
     lam = gas_de_broglie_wavelength(paper_config)

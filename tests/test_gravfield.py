@@ -136,6 +136,29 @@ def test_mode_sum_ratio_against_mpmath(kappa):
     assert abs(mode_sum_ratio(250, kappa) - want) <= 2e-15 * abs(want)
 
 
+@pytest.mark.parametrize("r", [1e-300, 1e-280, 3e-290])
+def test_newtonian_phase_where_hbar_r_is_subnormal(paper_config, r):
+    # hbar r is below the smallest normal float, or 0 at 1e-300
+    assert CONSTANTS.hbar * r < 2.2250738585072014e-308
+    t = paper_config.tau
+    phase = newtonian_phase(paper_config, r, t)
+    with mp.workdps(50):
+        want = float(mpf(CONSTANTS.G) * mpf(paper_config.m1)
+                     * mpf(paper_config.m2) * mpf(t)
+                     / (mpf(CONSTANTS.hbar) * mpf(r)))
+    assert math.isfinite(phase)
+    assert abs(phase - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("r", [2e-4, 1e-200, 3e-274])
+def test_newtonian_phase_keeps_its_bits_where_hbar_r_is_normal(paper_config,
+                                                               r):
+    t = paper_config.tau
+    assert newtonian_phase(paper_config, r, t) == (
+        CONSTANTS.G * paper_config.m1 * paper_config.m2 * t
+        / (CONSTANTS.hbar * r))
+
+
 def test_displacements_zero_time(paper_config):
     modes = modes_for_separation(200e-6, nModes=50)
     disp = displacements(modes, paper_config, (0.0, 200e-6), 0.0)

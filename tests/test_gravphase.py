@@ -13,7 +13,7 @@ from gravwitness.gravphase import (BRANCHES, branch_positions, dynamic_phases,
                                    superposition_size)
 
 # frozen by 50-digit evaluation of the phase formula with the package's
-# CODATA constants (oracle cross-checked in test_acceptance)
+# CODATA constants (oracle verified again in test_acceptance)
 DPHI_RL = 0.43950828960523563
 DPHI_LR = -0.12557379703006732
 PHI_REF = 0.35160663168418851

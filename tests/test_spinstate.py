@@ -22,7 +22,7 @@ def closed_form_negativity(a, b):
 def closed_form_dephased_negativity(a, b, p1, p2):
     # partial-transpose eigenvalues of the dephased state are
     # (1 + e*c1*c2 +- sqrt(c1^2 + c2^2 + 2 e c1 c2 cos s))/4 for e = +-1,
-    # with c = 1 - 2p and s = a + b (symbolic eigen-decomposition, checked
+    # with c = 1 - 2p and s = a + b (symbolic eigen-decomposition, verified
     # against the numerical solve below).  The radicand is evaluated as
     # (c1 + e c2)^2 - 4 e c1 c2 sin^2(s/2): written with cos s it cancels to
     # 0 once cos s rounds to 1 (|s| < ~1e-8) and loses the negativity
@@ -59,6 +59,18 @@ def test_entangled_state_is_valid_pure_state():
 def test_entangled_state_rejects_non_finite():
     with pytest.raises(ValueError):
         entangled_state(math.nan, 0.0)
+
+
+def test_entangled_state_names_the_phases_it_rejects(capsys):
+    from gravwitness.cli import main
+    with pytest.raises(ValueError) as err:
+        entangled_state(0.5, math.inf)
+    assert str(err.value) == (
+        "phases must be finite, got dPhiLR=0.5, dPhiRL=inf")
+    # phases that overflow to inf - inf, as the CLI witness reports them
+    assert main(["witness", "--paper-defaults", "--set", "m1=1.6e307"]) == 1
+    assert capsys.readouterr().err == (
+        "error: phases must be finite, got dPhiLR=nan, dPhiRL=nan\n")
 
 
 def test_zero_phases_product_state():

@@ -12,13 +12,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gravwitness import constraints, decoherence, sweep
-from gravwitness.constraints import feasibility_report
+from gravwitness.constraints import (casimir_polder_potential, cp_ratio,
+                                     feasibility_report,
+                                     gravitational_potential,
+                                     magnetic_interaction_ratio)
 from gravwitness.core import (ARRAY_OPS, NAN_OPS,
                               ConfigConsistencyWarning, ConfigError,
                               ExperimentConfig, RegimeError, load_config,
                               paper_defaults, validate)
 from gravwitness.decoherence import (DecoherenceRates, collisional_time,
-                                     dephasing_budget)
+                                     dephasing_budget, thermal_rates)
 from gravwitness.gravphase import PhaseSet, static_phases
 from gravwitness.spinstate import TwoQubitState, negativity
 from gravwitness.sweep import (OBJECTIVES, SweepAxis, SweepRow, SweepSpec,
@@ -568,9 +571,10 @@ def test_sweep_equals_the_scalar_sweep_where_a_shared_number_fails(
     # the second row's phases overflow to inf - inf
     (SweepAxis("tau", 1.0, 1.7e308, 2), dict(m1=1e-12, m2=1e-12),
      "phases must be finite"),
-    # radius**6 / r**7 overflows in the Casimir-Polder ratio
-    (SweepAxis("d", 1e46, 2e46, 2), dict(radius=1e45), "out of range"),
-    # the first row fails on its phases before the second one overflows
+    # radius**6 / r**7 overflows in the Casimir-Polder ratio: a nan ratio,
+    # which nothing raises on
+    (SweepAxis("d", 1e46, 2e46, 2), dict(radius=1e45), None),
+    # the first row fails on its phases, the second one's ratio overflows
     (SweepAxis("d", 4.5e-4, 1e46, 2), dict(m1=1e-12, m2=1e-12, tau=1.7e308),
      "phases must be finite"),
     # the second row's kinematic dx overflows in tauAcc**2, an invalid row
@@ -579,34 +583,40 @@ def test_sweep_equals_the_scalar_sweep_where_a_shared_number_fails(
 ])
 def test_sweep_raises_what_the_scalar_path_raises(paper_config, axis, fields,
                                                   error):
-    # evaluate and its spin states, the scalar path of the CLI witness,
-    # raise at the points whose numbers do not exist, ``error`` first; the
-    # sweep raises nothing and gives each of them an arithmetic row, as the
-    # sweep's scalar pipeline does
+    # evaluate, the scalar path of the CLI witness, returns at every valid
+    # point, with the row's feasibility and reasons; its spin states raise
+    # where the phases are not finite, ``error`` first, and the row is an
+    # arithmetic row there.  The sweep raises nothing, and its rows are the
+    # scalar pipeline's
     base = dataclasses.replace(paper_config, **fields)
-    errors = []
-    for value in axis.values().tolist():
-        try:
-            cfg = validate(dataclasses.replace(base, **{axis.name: value}))
-        except ConfigError:
-            errors.append(None)
-            continue
-        ev, err = _outcome(evaluate, cfg)
-        if err is None:
-            _, err = _outcome(lambda: (ev.state, ev.dephased))
-        errors.append(err)
-    first = next(err for err in errors if err is not None)
-    assert isinstance(first, (ValueError, OverflowError))
-    assert re.search(error, str(first))
     for objective in OBJECTIVES:
         spec = SweepSpec(axes=(axis,), objective=objective)
         rows = run_sweep(spec, base).rows
         assert [repr(r) for r in rows] == \
             [repr(r) for r in _scalar_rows(spec, base)]
-        assert ["arithmetic: " in r.reason for r in rows] == \
-            [err is not None for err in errors]
+        errors = []
+        for row in rows:
+            try:
+                cfg = validate(dataclasses.replace(base, **row.params))
+            except ConfigError:
+                assert row.reason.startswith("invalid config: ")
+                continue
+            ev = evaluate(cfg, spec.cpRatioMax, spec.requireTauCollOver)
+            assert (ev.report.feasible, "; ".join(ev.report.reasons)) == \
+                (row.feasible, row.reason)
+            _, err = _outcome(lambda: (ev.state, ev.dephased))
+            if err is not None:
+                assert "arithmetic: dPhiLR nan, dPhiRL nan" in row.reason
+                errors.append(err)
+        if error is None:
+            assert errors == []
+        else:
+            assert isinstance(errors[0], ValueError)
+            assert re.search(error, str(errors[0]))
+        arithmetic = [r for r in rows if "arithmetic: " in r.reason]
+        assert arithmetic
         assert all(math.isnan(r.objective) and not r.feasible
-                   for r in rows if "arithmetic: " in r.reason)
+                   for r in arithmetic)
         best, err = _outcome(maximize, spec, base)
         if err is None:
             assert best[1].feasible
@@ -871,62 +881,74 @@ def test_array_cores_equal_the_scalar_functions(batch, target, factor):
                                           want_phases.dPhiRL, report[2][j],
                                           report[3][j], p)
 
-        # the public functions, with FLOAT_OPS, wherever they return or
-        # raise a guard's message
-        want_report, report_err = _outcome(feasibility_report, cfg, target,
-                                           0.0, factor)
+        # the public functions read these cores: their values bit for
+        # bit, and where a guard fires the RegimeError of its message
+        want_report = feasibility_report(cfg, target, 0.0, factor)
         want_tau, tau_err = _outcome(collisional_time, cfg)
         want_rates, rates_err = _outcome(dephasing_budget, cfg)
-        assert all(err is None or isinstance(err, (RegimeError, OverflowError))
-                   for err in (report_err, tau_err, rates_err))
-        coll_error = (decoherence._regime_message(cfg.dx, wavelengths[0][j])
-                      if fired else "")
-        if report_err is not None:
-            # a power overflows in cpRatio or magRatio
-            assert not exists[j]
-        else:
-            got = dict(zip(("vCP", "vGrav", "cpRatio", "magRatio"),
-                           (x[j] for x in report)))
-            assert [repr(v) for v in got.values()] == \
-                [repr(getattr(want_report, k)) for k in got]
-            assert want_report.reasons == tuple(constraints._reasons(
-                got["cpRatio"], got["magRatio"], target, tau[j], factor,
-                duration[j], coll_error))
-            # the decision on arrays: a failing check, or the collisional
-            # guard
-            assert want_report.feasible == \
-                (not (fired or any(mask[j] for mask in failing)))
-        if tau_err is None or isinstance(tau_err, RegimeError):
-            assert str(tau_err or "") == coll_error
+        want_photons, photons_err = _outcome(thermal_rates, cfg)
+        assert all(err is None or isinstance(err, RegimeError)
+                   for err in (tau_err, rates_err, photons_err))
+        coll_error = decoherence._first_guard_message(
+            cfg, fired, [wavelengths[0][j]])
+        got = dict(zip(("vCP", "vGrav", "cpRatio", "magRatio"),
+                       (x[j] for x in report)))
+        assert [repr(v) for v in got.values()] == \
+            [repr(getattr(want_report, k)) for k in got]
+        r = cfg.d - cfg.dx
+        assert [repr(v) for v in got.values()] == [repr(v) for v in (
+            casimir_polder_potential(cfg, r), gravitational_potential(cfg, r),
+            cp_ratio(cfg), magnetic_interaction_ratio(cfg, 0.0))]
+        missing = [k for k in ("cpRatio", "magRatio") if math.isnan(got[k])]
+        assert want_report.reasons == tuple(constraints._reasons(
+            got["cpRatio"], got["magRatio"], target, tau[j], factor,
+            duration[j], coll_error) + (
+                ["arithmetic: " + ", ".join(f"{k} nan" for k in missing)]
+                if missing else []))
+        # the decision on arrays: a failing check, the collisional guard or
+        # a ratio that does not exist
+        assert want_report.feasible == \
+            (not (fired or missing or any(mask[j] for mask in failing)))
+        assert str(tau_err or "") == coll_error
         if tau_err is None:
             assert repr(tau[j]) == repr(want_tau)
-        if rates_err is None or isinstance(rates_err, RegimeError):
-            assert str(rates_err or "") == decoherence._first_guard_message(
-                cfg, guard[j], [x[j] for x in wavelengths])
-            assert bool(guard[j]) == (rates_err is not None)
+        assert str(rates_err or "") == decoherence._first_guard_message(
+            cfg, guard[j], [x[j] for x in wavelengths])
+        assert bool(guard[j]) == (rates_err is not None)
         if rates_err is None:
             assert {k: repr(v[j]) for k, v in rates.items()} == \
                 {k: repr(getattr(want_rates, k)) for k in rates}
+        # thermal_rates raises at the budget's photon guard, where the
+        # collisional guard does not fire first
+        if guard[j] != decoherence._COLLISIONAL:
+            assert str(photons_err or "") == str(rates_err or "")
+        if photons_err is None:
+            assert [repr(v) for v in want_photons] == [
+                repr(rates[k][j]) for k in ("gammaSc", "gammaEm", "gammaAbs")]
 
 
 @pytest.fixture
 def scalar_calls(monkeypatch):
-    """Calls of the scalar feasibility_report, and of the scalar budget:
-    `decoherence._budget` with NAN_OPS, which `evaluate` and the sweep's
-    scalar pipeline reach."""
-    calls = {"feasibility_report": 0, "budget": 0}
-    report, budget = feasibility_report, decoherence._budget
+    """Calls of the scalar feasibility_report, and of the cores it and
+    `evaluate` read, with NAN_OPS: `constraints._closest_approach`,
+    `decoherence._collisions` and `decoherence._budget`, which the
+    sweep's scalar pipeline reaches too."""
+    calls = dict.fromkeys(
+        ("feasibility_report", "_closest_approach", "_collisions", "_budget"),
+        0)
+    report = feasibility_report
 
     def counting_report(*args, **kwargs):
         calls["feasibility_report"] += 1
         return report(*args, **kwargs)
-
-    def counting_budget(config, ops):
-        calls["budget"] += ops is NAN_OPS
-        return budget(config, ops)
     monkeypatch.setattr(constraints, "feasibility_report", counting_report)
-    monkeypatch.setattr(sweep, "feasibility_report", counting_report)
-    monkeypatch.setattr(decoherence, "_budget", counting_budget)
+    for module, name in ((constraints, "_closest_approach"),
+                         (decoherence, "_collisions"),
+                         (decoherence, "_budget")):
+        def counting(*args, core=getattr(module, name), name=name):
+            calls[name] += args[-1] is NAN_OPS
+            return core(*args)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -934,12 +956,16 @@ def test_witness_grid_calls_no_scalar_report(paper_config, scalar_calls):
     spec = SweepSpec(axes=_DENSE_AXES, objective="witnessOptimized")
     rows = run_sweep(spec, paper_config).rows
     assert any("decoherence regime" in r.reason for r in rows)
-    assert scalar_calls["feasibility_report"] == 0
     # a regime row formats its guard's message from the batch's numbers
-    assert scalar_calls["budget"] == 0
-    # the counters see the scalar pipeline
+    assert set(scalar_calls.values()) == {0}
+    # evaluate reads each core once, and no report of its own
     evaluate(paper_config)
-    assert scalar_calls == {"feasibility_report": 1, "budget": 1}
+    assert scalar_calls == {"feasibility_report": 0, "_closest_approach": 1,
+                            "_collisions": 1, "_budget": 1}
+    # the counters see the public report, which reads two of them
+    constraints.feasibility_report(paper_config)
+    assert scalar_calls == {"feasibility_report": 1, "_closest_approach": 2,
+                            "_collisions": 2, "_budget": 1}
 
 
 @pytest.fixture
@@ -1195,9 +1221,9 @@ def test_scalar_rows_read_what_evaluate_gives(paper_config, probe, fields,
                                               kinematic):
     # evaluate, with its full feasibility report and budget, is the
     # reference for the numbers a row and a line-search score read.  It
-    # raises where feasibility_report does, and its spin states where the
-    # phases or the flip probability are not finite: the row is an
-    # arithmetic row exactly there
+    # returns at every valid point, with the row's feasibility and reasons;
+    # its spin states raise exactly where the phases or the flip
+    # probability do not exist, which the row's arithmetic reason names
     spec, overrides = probe
     base = dataclasses.replace(
         _kinematic_unequal(paper_config) if kinematic else paper_config,
@@ -1206,30 +1232,37 @@ def test_scalar_rows_read_what_evaluate_gives(paper_config, probe, fields,
         cfg = validate(dataclasses.replace(base, **overrides))
     except ConfigError:
         return
-    ev, err = _outcome(evaluate, cfg, spec.cpRatioMax, spec.requireTauCollOver)
-    _, report_err = _outcome(feasibility_report, cfg, spec.cpRatioMax, 0.0,
-                             spec.requireTauCollOver)
+    ev = evaluate(cfg, spec.cpRatioMax, spec.requireTauCollOver)
+    report = feasibility_report(cfg, spec.cpRatioMax, 0.0,
+                                spec.requireTauCollOver)
     row = _evaluate_point(base, spec, overrides)
-    assert repr(err) == repr(report_err)
-    arithmetic = [r for r in row.reason.split("; ")
-                  if r.startswith("arithmetic: ")]
-    if err is not None:
-        assert arithmetic and not row.feasible
-        return
+    missing = {item.split()[0] for r in row.reason.split("; ")
+               if r.startswith("arithmetic: ")
+               for item in r[len("arithmetic: "):].split(", ")}
     _, state_err = _outcome(lambda: (ev.state, ev.dephased))
-    assert bool(arithmetic) == (state_err is not None)
-    # the report holds the budget guard's reason, as the row does
+    assert (state_err is not None) == bool(missing & {"dPhiLR", "dPhiRL",
+                                                      "p"})
     reasons = list(ev.report.reasons)
     if ev.regimeError:
         assert f"decoherence regime: {ev.regimeError}" in reasons
     assert ev.report.feasible == (not reasons)
-    assert row.reason == "; ".join(reasons + arithmetic)
-    assert row.feasible == (not reasons + arithmetic)
+    assert row.reason == "; ".join(reasons)
+    assert row.feasible == ev.report.feasible
+    # the public report's numbers, and its reasons before its own
+    # arithmetic one, which names the ratios only
+    numbers = ("vCP", "vGrav", "cpRatio", "magRatio", "minSeparation")
+    assert [repr(getattr(ev.report, k)) for k in numbers] == \
+        [repr(getattr(report, k)) for k in numbers]
+    checks = [r for r in report.reasons if not r.startswith("arithmetic: ")]
+    assert list(ev.report.reasons[:len(checks)]) == checks
+    assert (len(checks) < len(report.reasons)) == \
+        bool(missing & {"cpRatio", "magRatio"})
     assert repr((row.dPhiLR, row.dPhiRL, row.cpRatio)) == \
         repr((ev.phases.dPhiLR, ev.phases.dPhiRL, ev.report.cpRatio))
     assert repr(row.tauColl) == repr(
         math.nan if ev.budget is None else ev.budget.tauColl)
-    if (spec.objective == "negativity" and state_err is None
+    # a row whose numbers do not all exist has no objective
+    if (spec.objective == "negativity" and not missing
             and ev.dephased is not None):
         assert repr(row.objective) == repr(negativity(ev.dephased))
 
@@ -1296,8 +1329,8 @@ def _regime_rows_match_the_raised_guards(spec, base):
 
 def test_regime_rows_carry_the_public_guard_texts(paper_config,
                                                   monkeypatch):
-    # the checked public budget is the reference for the guard order and
-    # texts the sweep reads from the batch's guard numbers
+    # the public budget, which raises, is the reference for the guard order
+    # and texts the sweep reads from the batch's guard numbers
     spec = SweepSpec(axes=(SweepAxis("tEnv", 1e-20, 30.0, 6, "log"),
                            SweepAxis("tInt", 0.1, 30.0, 3, "log")))
     assert _regime_rows_match_the_raised_guards(spec, paper_config) == {
