@@ -214,9 +214,10 @@ def _cmd_field(args, cfg):
 
     modes = gravfield.modes_for_separation(separation, nModes=args.n_modes,
                                            kCutTimesR=args.k_cut_times_r)
-    branches = gravfield.branch_displacement_set(modes, cfg, t)
-    overlaps = gravfield.branch_overlaps(branches)
-    quantum = gravfield.reduced_mass_state(branches, overlaps)
+    # `reduced_mass_state(branch_displacement_set(...))` from mode sums
+    branch_phases, exponents = gravfield._branch_sums(modes, cfg, t)
+    overlaps = {pair: gravfield._overlap(*e) for pair, e in exponents.items()}
+    quantum = gravfield._mass_state(branch_phases, overlaps)
     classical = gravfield.dephase_branch_basis(quantum)
     phases = gravphase.static_phases(cfg)
     spin_reference = spinstate.negativity(

@@ -5,20 +5,19 @@ phase comes from the cross term of the squared matter-field coupling.  After
 analytic angular reduction (int dOmega e^{i k.dr} = 4 pi sinc(k dr)) the
 phase collapses to a 1D radial quadrature,
 
-    phase(r, t) = (G m1 m2 t / hbar) (2/pi) int dk sinc(k r) e^{-k/kCut},
+    phase(r, t) = (G m1 m2 t / hbar) (2/pi) int dk sinc(k r) e^{-k/kCut}.
 
-which converges to the Newtonian value G m1 m2 t/(hbar r) as kCut*r -> inf
-(damped closed form: int_0^inf sinc(k r) e^{-k/kCut} dk = arctan(kCut r)/r).
-On the grid `modes_for_separation(r, nModes, kCutTimesR)`, k r is the same
-at every r, so the ratio of the two is a property of (nModes, kCutTimesR)
-alone, the same at every point; `mode_sum_ratio` caches it.
-A single effective polarization channel is used; with the mode measure tied
-to the grid weights (g^2 ~ 1/V cancels against mode counting) the continuum
-normalization constant is exactly 1.
+Taken to k = inf it is the Newtonian G m1 m2 t/(hbar r) times
+(2/pi) arctan(kCut r).  `modes_for_separation` stops at k r = 60, so the sum
+converges to the truncated integral: 1.009537 times the Newtonian phase at
+kCut r = 2e3, where `mode_sum_ratio(4000, 2e3)` is 1.0094428.  On that grid
+the ratio depends on (nModes, kCutTimesR) alone; `mode_sum_ratio` caches it.
+One polarization channel is used; g^2 ~ 1/V cancels against mode counting,
+so the normalization is exactly 1.
 
-The per-mode coherent amplitudes carry the shell-aggregated coupling with
-plane-wave factors evaluated along the split axis; they feed the branch
-overlap (which-path) estimate, which is astronomically close to 1 here.
+The coherent amplitudes alpha (`branch_displacement_set`) are the reference
+for the branch overlaps, the which-path estimate (astronomically close to 1
+here).  `_branch_sums` takes the same overlaps from real mode sums.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import CONSTANTS, ExperimentConfig
-from .gravphase import BRANCHES, branch_positions
+from .gravphase import BRANCHES, _separations, branch_positions
 from .spinstate import TwoQubitState
 
 
@@ -98,21 +97,31 @@ def build_modes(kMin: float, kMax: float, nModes: int, kCut: float) -> FieldMode
 def modes_for_separation(separation: float, nModes: int = 4000,
                          kCutTimesR: float = 2e3) -> FieldModeSet:
     """Grid tuned for separations near ``separation``: kCut = kCutTimesR/r,
-    covering k r from 1e-4 (below which the integrand is flat) to 60 (past
-    which the damped oscillatory tail contributes < 0.5%)."""
+    covering k r from 1e-4 (below which the integrand is flat) to 60.  The
+    damped tail past 60, left out, is -0.99% of the Newtonian phase at
+    kCutTimesR = 2e3."""
     if separation <= 0:
         raise ValueError(f"separation must be positive, got {separation!r}")
     return build_modes(1e-4 / separation, 60.0 / separation, nModes,
                        kCutTimesR / separation)
 
 
-def _mode_sums(modes: FieldModeSet, separations, scale: float) -> dict:
+def _mode_sums(modes: FieldModeSet, separations, scale: float,
+               trig: np.ndarray | None = None) -> dict:
     """scale * sum_k w sinc(k r) e^{-k/kCut} at each of ``separations``,
-    all from one e^{-k/kCut}."""
+    all from one e^{-k/kCut}.  sinc is sin(y)/y, y formed as `np.sinc` forms
+    it; ``trig`` receives (sin y, cos y) per separation."""
     k, w = modes.kGrid, modes.weights
     damping = np.exp(-k / modes.kCut)
-    return {r: scale * float(np.sum(w * (np.sinc(k * r / np.pi) * damping)))
-            for r in separations}
+    sums = {}
+    for i, r in enumerate(separations):
+        y = np.pi * (k * r / np.pi)
+        y = np.where(y, y, np.finfo(float).eps)
+        sin_y = np.sin(y) if trig is None else np.sin(y, out=trig[i, 0])
+        if trig is not None:
+            np.cos(y, out=trig[i, 1])
+        sums[r] = scale * float(np.sum(w * (sin_y / y * damping)))
+    return sums
 
 
 @functools.lru_cache(maxsize=64)
@@ -126,15 +135,15 @@ def mode_sum_ratio(nModes: int, kCutTimesR: float) -> float:
 
 
 def _branch_phases(modes: FieldModeSet, config: ExperimentConfig,
-                   separations, t: float) -> dict[float, float]:
-    """`branch_phase` at each of ``separations``."""
+                   separations, t: float, trig=None) -> dict[float, float]:
+    """`branch_phase` at each of ``separations``; ``trig`` as `_mode_sums`."""
     for separation in separations:
         if separation <= 0:
             raise ValueError(f"separation must be positive, got {separation!r}")
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t!r}")
     pref = CONSTANTS.G * config.m1 * config.m2 * t / CONSTANTS.hbar
-    return _mode_sums(modes, separations, pref * (2.0 / np.pi))
+    return _mode_sums(modes, separations, pref * (2.0 / np.pi), trig)
 
 
 def branch_phase(modes: FieldModeSet, config: ExperimentConfig,
@@ -156,9 +165,8 @@ def newtonian_phase(config: ExperimentConfig, separation: float, t: float) -> fl
 def _branches(modes: FieldModeSet, config: ExperimentConfig, t: float,
               positions: dict) -> dict[str, BranchDisplacements]:
     """alpha_k = (g1/w_k e^{i k x1} + g2/w_k e^{i k x2})(e^{i w_k t} - 1) per
-    branch (vacuum initial field), computing each factor once.  An overflow
-    leaves alpha non-finite, which BranchDisplacements rejects; numpy does
-    not warn."""
+    branch (vacuum initial field).  An overflow leaves alpha non-finite,
+    which BranchDisplacements rejects; numpy does not warn."""
     phases = _branch_phases(modes, config,
                             {abs(x2 - x1) for x1, x2 in positions.values()}, t)
     k = modes.kGrid
@@ -170,15 +178,11 @@ def _branches(modes: FieldModeSet, config: ExperimentConfig, t: float,
         shell = np.sqrt(CONSTANTS.G * CONSTANTS.c * k * modes.weights
                         / (np.pi * CONSTANTS.hbar))
         damping = np.exp(-k / (2.0 * modes.kCut))
-        c1 = config.m1 * shell * damping / omega
-        c2 = c1 if config.m2 == config.m1 else config.m2 * shell * damping / omega
+        c1, c2 = (m * shell * damping / omega for m in (config.m1, config.m2))
         ring = np.exp(1j * omega * t) - 1.0
-        x1s, x2s = map(set, zip(*positions.values()))
-        waves1 = {x1: c1 * np.exp(1j * k * x1) for x1 in x1s}
-        waves2 = {x2: c2 * np.exp(1j * k * x2) for x2 in x2s}
         return {b: BranchDisplacements(
-                    modes=modes, alpha=(waves1[x1] + waves2[x2]) * ring,
-                    branchPhase=phases[abs(x2 - x1)])
+                    modes=modes, branchPhase=phases[abs(x2 - x1)],
+                    alpha=(c1 * np.exp(1j * k * x1) + c2 * np.exp(1j * k * x2)) * ring)
                 for b, (x1, x2) in positions.items()}
 
 
@@ -200,13 +204,18 @@ def branch_overlap(dA: BranchDisplacements, dB: BranchDisplacements) -> complex:
     |<a|b>| = exp(-|a-b|^2/2); the phase is sum Im(conj(a) b).  Magnitude is
     in (0, 1], and 1 exactly for identical branches.
     """
-    if dA.modes.kGrid is not dB.modes.kGrid and not np.array_equal(
-            dA.modes.kGrid, dB.modes.kGrid):
+    if not np.array_equal(dA.modes.kGrid, dB.modes.kGrid):
         raise ValueError("branch displacements built on mismatched mode grids")
-    diff2 = float(np.sum(np.abs(dA.alpha - dB.alpha) ** 2))
-    # Im(conj(a) b) written so identical branches give exactly zero phase
-    phase = float(np.sum(dA.alpha.real * dB.alpha.imag
-                         - dA.alpha.imag * dB.alpha.real))
+    with np.errstate(all="ignore"):    # an overflow is left to the state check
+        diff2 = float(np.sum(np.abs(dA.alpha - dB.alpha) ** 2))
+        # Im(conj(a) b) written so identical branches give exactly zero phase
+        phase = float(np.sum(dA.alpha.real * dB.alpha.imag
+                             - dA.alpha.imag * dB.alpha.real))
+        return _overlap(diff2, phase)
+
+
+def _overlap(diff2: float, phase: float) -> complex:
+    """`branch_overlap` from sum |a - b|^2 and sum Im(conj(a) b)."""
     return complex(np.exp(-0.5 * diff2) * np.exp(1j * phase))
 
 
@@ -231,13 +240,63 @@ def reduced_mass_state(branches: dict[str, BranchDisplacements],
     the upper triangle; the lower one is their exact conjugate.
     """
     overlaps = branch_overlaps(branches) if overlaps is None else overlaps
+    return _mass_state({b: d.branchPhase for b, d in branches.items()}, overlaps)
+
+
+def _mass_state(phases: dict, overlaps: dict) -> TwoQubitState:
+    """`reduced_mass_state` from the branch phases and the overlaps."""
     rho = np.diag(np.full(4, 0.25, dtype=complex))
     for (bi, bj), ov in overlaps.items():
         i, j = BRANCHES.index(bi), BRANCHES.index(bj)
-        rho[i, j] = 0.25 * np.exp(1j * (branches[bi].branchPhase
-                                        - branches[bj].branchPhase)) * ov
+        rho[i, j] = 0.25 * np.exp(1j * (phases[bi] - phases[bj])) * ov
         rho[j, i] = np.conj(rho[i, j])
     return TwoQubitState(rho)
+
+
+def _branch_sums(modes: FieldModeSet, config: ExperimentConfig,
+                 t: float) -> tuple[dict, dict]:
+    """The branch phases of `branch_displacement_set`, and per
+    `branch_overlaps` pair (b, b') the exponents (sum |alpha_b' - alpha_b|^2,
+    sum Im(conj(alpha_b') alpha_b)) of <chi_b'|chi_b>, without alpha.
+
+    alpha = ring u (m1 e^{i k x1} + m2 e^{i k x2}) makes both sums of
+    R u^2 e^{i k D}, R = |ring|^2, over D = 0, dx and the separations
+    x2 - x1.  These reuse the phase sums' trig, and
+    e^{i k dx} = e^{i k r_LR} e^{-i k r_LL}."""
+    seps = dict(zip(BRANCHES, _separations(config.d, config.dx)))
+    distinct = list(dict.fromkeys(seps.values()))      # LL and RR are d
+    k = modes.kGrid
+    trig = np.empty((len(distinct) + 1, 2, k.size))    # (sin, cos) per D
+    with np.errstate(all="ignore"):     # non-finite results raise below
+        phases = _branch_phases(modes, config, distinct, t, trig)
+        (s1, c1), (s0, c0) = (trig[distinct.index(seps[b])] for b in ("LR", "LL"))
+        np.subtract(s1 * c0, c1 * s0, out=trig[-1, 0])
+        np.add(c1 * c0, s1 * s0, out=trig[-1, 1])
+        # R u^2 per unit mass^2, not finite where `_branches`' alpha is not
+        omega = CONSTANTS.c * k
+        weight = (4.0 * np.sin(omega * t / 2) ** 2 * np.exp(-k / modes.kCut)
+                  * (CONSTANTS.G * CONSTANTS.c * k * modes.weights
+                     / (np.pi * CONSTANTS.hbar)) / omega / omega)
+        if not np.isfinite(weight).all():
+            raise ValueError("alpha contains non-finite entries")
+        total, sums = float(weight.sum()), trig @ weight
+    e = {b: complex(*sums[distinct.index(r), ::-1]) for b, r in seps.items()}
+    dx = complex(*sums[-1, ::-1])       # sum R u^2 e^{i k dx}
+    m1, m2 = config.m1, config.m2
+    exponents = {}
+    for bi, bj in combinations(BRANCHES, 2):
+        a, b = bj, bi                   # sum conj(alpha_a) alpha_b
+        # sum R u^2 e^{i k (x_b - x_a)} for mass 1, then for mass 2
+        z1, z2 = (total if a[i] == b[i] else dx if b[i] == "R" else dx.conjugate()
+                  for i in (0, 1))
+        ab, ba = e[a[0] + b[1]], e[b[0] + a[1]]   # x2_b - x1_a, x2_a - x1_b
+        exponents[bi, bj] = (
+            2.0 * (m1 * m1 * (total - z1.real) + m2 * m2 * (total - z2.real)
+                   + m1 * m2 * ((e[a] - ab).real + (e[b] - ba).real)),
+            m1 * m1 * z1.imag + m2 * m2 * z2.imag + m1 * m2 * (ab - ba).imag)
+    if not np.isfinite(list(exponents.values())).all():
+        raise ValueError("branch overlap sums are not finite")
+    return {b: phases[r] for b, r in seps.items()}, exponents
 
 
 def dephase_branch_basis(state: TwoQubitState) -> TwoQubitState:

@@ -111,9 +111,13 @@ def _kinematic_split(dBdx: float, tauAcc: float, m: float) -> float:
 
 
 def mutual_acceleration(config: ExperimentConfig) -> float:
-    """Acceleration of mass 1 toward mass 2 at the closest branch separation."""
+    """Acceleration of mass 1 toward mass 2 at the closest branch separation,
+    divided by r twice where r**2 overflows."""
     r = config.d - config.dx
-    return CONSTANTS.G * config.m2 / r**2
+    try:
+        return CONSTANTS.G * config.m2 / r**2
+    except OverflowError:
+        return CONSTANTS.G * config.m2 / r / r
 
 
 def _split_profile(theta: np.ndarray) -> np.ndarray:

@@ -447,6 +447,47 @@ def test_field_payload_matches_direct_computation(capsys, paper_config):
         gravfield.classicalize(branches))
 
 
+def _alpha_path_payload(cfg, n_modes, t):
+    """The field payload's state entries from the alpha arrays."""
+    modes = gravfield.modes_for_separation(cfg.d - cfg.dx, nModes=n_modes)
+    branches = gravfield.branch_displacement_set(modes, cfg, t)
+    return {"minOverlapMagnitude": min(
+                abs(ov) for ov in gravfield.branch_overlaps(branches).values()),
+            "negativityQuantum": negativity(gravfield.reduced_mass_state(branches)),
+            "negativityClassicalized": negativity(gravfield.classicalize(branches))}
+
+
+@pytest.mark.parametrize("sets, n_modes", [
+    (("m2=3e-14",), 300),
+    (("d=4.5e-4",), 4000),
+    (("d=7e-4",), 4000),
+])
+def test_field_payload_matches_the_alpha_path(capsys, paper_config, sets,
+                                              n_modes):
+    argv = [arg for s in sets for arg in ("--set", s)]
+    code, out, _ = run_cli(capsys, "field", "--paper-defaults",
+                           "--n-modes", str(n_modes), "--time", "1.5", *argv)
+    assert code == 0
+    data = json.loads(out)
+    cfg = validate(dataclasses.replace(paper_config, **{
+        key: float(value) for key, value in (s.split("=") for s in sets)}))
+    assert {key: data[key] for key in ("minOverlapMagnitude", "negativityQuantum",
+                                       "negativityClassicalized")} \
+        == _alpha_path_payload(cfg, n_modes, 1.5)
+
+
+def test_field_builds_no_alpha_arrays(capsys, monkeypatch, paper_config):
+    want = _alpha_path_payload(paper_config, 4000, paper_config.tau)
+
+    def branches(*args):
+        raise AssertionError("field built the alpha arrays")
+    monkeypatch.setattr(gravfield, "_branches", branches)
+    code, out, _ = run_cli(capsys, "field", "--paper-defaults")
+    assert code == 0
+    data = json.loads(out)
+    assert {key: data[key] for key in want} == want
+
+
 @pytest.mark.parametrize("argv, option", [
     (("field", "--n-modes", "1"), "--n-modes"),
     (("field", "--k-cut-times-r", "0"), "--k-cut-times-r"),
@@ -671,3 +712,25 @@ def test_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert err == f"error: {error}: {path!r}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_field_whose_overlap_sums_overflow_is_one_error_and_no_numpy_warning(
+        capsys):
+    # alpha is finite, but m2^2 overflows in sum |alpha_b - alpha_b'|^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["field", "--paper-defaults", "--n-modes", "50",
+                     "--set", "m2=1.03e+218"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: branch overlap sums are not finite\n"
+
+
+def test_phases_where_r_squared_overflows(capsys):
+    # r**2 overflows: the acceleration divides by r twice, as data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["phases", "--paper-defaults", "--set", "d=1.05e+293"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["mutualAcceleration"] == 0.0

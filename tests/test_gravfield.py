@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from gravwitness import gravfield
 from gravwitness.core import CONSTANTS
 from gravwitness.gravfield import (BranchDisplacements, FieldModeSet,
                                    branch_displacement_set, branch_overlap,
@@ -386,3 +387,41 @@ def test_branch_overlaps_are_the_six_pairs(paper_config):
     for (a, b), ov in overlaps.items():
         assert ov == branch_overlap(branches[b], branches[a])
         assert abs(ov) == abs(branch_overlap(branches[a], branches[b]))
+
+
+def _exp10(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# Largest errors seen over 30000 random draws of these ranges, relative to
+# sum |alpha_b|^2 + sum |alpha_b'|^2: 8.5e-15 in sum |alpha_b - alpha_b'|^2
+# and 3.6e-15 in its phase sum.  Both paths round their sums at that level.
+DIFF2_TOL, PHASE_TOL = 1e-14, 5e-15
+
+
+@given(d=_exp10(-6.0, -2.0), split=_exp10(-3.0, -0.05), t=_exp10(-6.0, 1.0),
+       n=st.floats(math.log(2), math.log(4000)).map(lambda x: round(math.exp(x))),
+       kappa=_exp10(0.0, 5.0), m1=_exp10(-15.0, -7.0), m2=_exp10(-15.0, -7.0))
+# unequal masses whose overlaps are far from 1: the smallest is 1.7e-3
+@example(d=4.5e-4, split=0.5, t=2.5, n=4000, kappa=2e3, m1=3e-8, m2=1e-8)
+@settings(max_examples=150, deadline=None)
+def test_branch_sums_match_the_alpha_path(paper_config, d, split, t, n, kappa,
+                                          m1, m2):
+    cfg = dataclasses.replace(paper_config, d=d, dx=split * d, m1=m1, m2=m2)
+    modes = modes_for_separation(d - split * d, n, kappa)
+    branches = branch_displacement_set(modes, cfg, t)
+    phases, exponents = gravfield._branch_sums(modes, cfg, t)
+    assert list(exponents) == list(branch_overlaps(branches))
+    for (bi, bj), (diff2, phase) in exponents.items():
+        a, b = branches[bj].alpha, branches[bi].alpha
+        scale = np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)
+        assert abs(diff2 - np.sum(np.abs(a - b) ** 2)) <= DIFF2_TOL * scale
+        assert abs(phase - np.sum(a.real * b.imag - a.imag * b.real)) \
+            <= PHASE_TOL * scale
+    # the branch phases keep the bits of the np.sinc mode sum
+    separations = {b: abs(x2 - x1) for b, (x1, x2) in branch_positions(cfg).items()}
+    pref = CONSTANTS.G * m1 * m2 * t / CONSTANTS.hbar * (2.0 / np.pi)
+    k, w = modes.kGrid, modes.weights
+    for b, r in separations.items():
+        assert phases[b] == branches[b].branchPhase == pref * float(np.sum(
+            w * (np.sinc(k * r / np.pi) * np.exp(-k / modes.kCut))))

@@ -135,6 +135,20 @@ def test_mutual_acceleration_value(paper_config):
     assert mutual_acceleration(paper_config) == pytest.approx(1.668575e-17, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, m2, want", [(1e160, 1e290, CONSTANTS.G * 1e-30),
+                                        (1.05e293, 1e-14, 0.0)])
+def test_mutual_acceleration_where_r_squared_overflows(paper_config, d, m2,
+                                                       want):
+    # r**2 raises OverflowError: G m2 / r / r instead
+    cfg = dataclasses.replace(paper_config, d=d, m2=m2)
+    assert mutual_acceleration(cfg) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_mutual_acceleration_keeps_its_bits(paper_config):
+    r = paper_config.d - paper_config.dx
+    assert mutual_acceleration(paper_config) == CONSTANTS.G * paper_config.m2 / r**2
+
+
 def test_mutual_acceleration_inverse_square(paper_config):
     a1 = mutual_acceleration(paper_config)
     widened = dataclasses.replace(
